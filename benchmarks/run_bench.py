@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Perf benchmarks — the machine-readable perf trajectory of the repo.
 
-Three suites share this driver:
+Eight suites share this driver:
 
 * ``--suite kernel`` (default) runs a fixed seed-graph grid (n ≈ 2000
-  generated stand-ins) through the three kernel hot paths — MaxRFC search,
-  the reduction pipeline, and the ``ubAD`` bound stack — once on the
-  compiled bitset kernel and once on the pre-kernel dict path, and writes
-  median wall-clock numbers plus speedups to
-  ``benchmarks/results/BENCH_kernel.json``.  It then sweeps the backend
-  *scaling axis* (n ∈ {2k, 10k, 50k, 200k} full, {10k} smoke), timing each
-  kernel primitive — mask construction, frontier row unions, attribute
-  popcounts, and the pickle ship — on every available backend
+  generated stand-ins) through one ``ubAD`` bound-stack evaluation, once on
+  the compiled bitset kernel (:mod:`repro.kernel.bounds`) and once through
+  the reference bounds in :mod:`repro.bounds`, and writes median wall-clock
+  numbers plus the speedup to ``benchmarks/results/BENCH_kernel.json``.
+  End-to-end solve numbers come from ``perfbench/run.py``.  It then sweeps
+  the backend *scaling axis* (n ∈ {2k, 10k, 50k, 200k} full, {10k} smoke),
+  timing each kernel primitive — mask construction, frontier row unions,
+  attribute popcounts, and the pickle ship — on every available backend
   (int / words / numpy) and recording the ``words_vs_int`` and
   ``numpy_vs_words`` speedup medians; ``--check`` additionally gates
   ``words_vs_int_speedup`` at an absolute x1.00 floor.
@@ -60,10 +60,10 @@ Three suites share this driver:
   ``--check`` additionally gates ``incremental_speedup`` at an absolute
   x1.00 floor — the whole subsystem exists to beat the cold path.
 
-Every search cell asserts *result parity* (kernel vs dict: same clique and
-branch counters; serial vs parallel: same optimal size and a verified fair
-clique; cold vs warm: identical sweep sizes), so a bench run doubles as an
-end-to-end parity check on the exact grid it times.
+Every cell asserts *result parity* (kernel vs reference bounds: same bound
+value; serial vs parallel: same optimal size and a verified fair clique;
+cold vs warm: identical sweep sizes), so a bench run doubles as a parity
+check on the exact grid it times.
 
 Usage::
 
@@ -87,7 +87,7 @@ Usage::
         --check benchmarks/results/BENCH_incremental_smoke_baseline.json
 
 ``--check`` compares the freshly measured median speedup (a same-machine
-ratio — kernel vs dict, or parallel vs serial — so the gate is
+ratio — kernel vs reference bounds, or parallel vs serial — so the gate is
 hardware-independent) against the checked-in baseline and fails when it has
 regressed by more than the tolerance factor (default 2x).  Note the parallel
 speedup is also bounded by the runner's core count; ``cpu_count`` is
@@ -130,7 +130,6 @@ from repro.kernel.view import SubgraphView
 from repro.parallel import shm
 from repro.models import make_model
 from repro.parallel import ParallelConfig, ParallelMaxRFC
-from repro.reduction.pipeline import ReductionPipeline
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.search.maxrfc import MaxRFC, build_search_config
 
@@ -145,7 +144,7 @@ SHAREDMEM_SCHEMA = "bench_sharedmem/v1"
 INCREMENTAL_SCHEMA = "bench_incremental/v1"
 #: schema -> the medians key the --check gate compares.
 CHECK_KEYS = {
-    SCHEMA: "search_speedup",
+    SCHEMA: "bounds_speedup",
     PARALLEL_SCHEMA: "parallel_speedup",
     SESSION_SCHEMA: "session_speedup",
     SERVICE_SCHEMA: "service_speedup",
@@ -762,61 +761,6 @@ def run_incremental(mode: str, repeats: int) -> dict:
 
 def median_of(runs):
     return statistics.median(runs)
-
-
-def bench_search(graph, k, delta, repeats):
-    """Median search seconds per path + result-parity assertion."""
-    timings = {}
-    fingerprints = {}
-    for label, use_kernel in (("kernel", True), ("dict", False)):
-        config = build_search_config(use_kernel=use_kernel)
-        samples = []
-        for _ in range(repeats):
-            result = MaxRFC(config).solve(graph, k, delta)
-            samples.append(result.stats.search_seconds)
-        timings[label] = median_of(samples)
-        fingerprints[label] = (
-            frozenset(result.clique),
-            result.stats.branches_explored,
-            result.stats.pruned_by_bound,
-            result.stats.solutions_found,
-        )
-    if fingerprints["kernel"] != fingerprints["dict"]:
-        raise AssertionError(
-            f"kernel/dict search parity violated: {fingerprints}"
-        )
-    return {
-        "kernel_s": timings["kernel"],
-        "dict_s": timings["dict"],
-        "speedup": timings["dict"] / max(timings["kernel"], 1e-9),
-        "clique_size": len(fingerprints["kernel"][0]),
-        "branches": fingerprints["kernel"][1],
-    }
-
-
-def bench_reduction(graph, k, repeats):
-    """Median wall-clock of the full reduction pipeline per path."""
-    timings = {}
-    survivors = {}
-    for label, use_kernel in (("kernel", True), ("dict", False)):
-        pipeline = ReductionPipeline(use_kernel=use_kernel)
-        samples = []
-        for _ in range(repeats):
-            started = time.monotonic()
-            outcome = pipeline.run(graph, k)
-            samples.append(time.monotonic() - started)
-        timings[label] = median_of(samples)
-        survivors[label] = (outcome.vertices_after, outcome.edges_after)
-    if survivors["kernel"] != survivors["dict"]:
-        raise AssertionError(
-            f"kernel/dict reduction parity violated: {survivors}"
-        )
-    return {
-        "kernel_s": timings["kernel"],
-        "dict_s": timings["dict"],
-        "speedup": timings["dict"] / max(timings["kernel"], 1e-9),
-        "survivors": survivors["kernel"],
-    }
 
 
 def bench_bounds(graph, k, delta, repeats):
@@ -1492,17 +1436,12 @@ def run(mode: str, repeats: int) -> dict:
             "m": graph.num_edges,
             "k": k,
             "delta": delta,
-            "search": bench_search(graph, k, delta, repeats),
-            "reduction": bench_reduction(graph, k, repeats),
             "bounds": bench_bounds(graph, k, delta, repeats),
         }
-        print(f"        search x{cell['search']['speedup']:.2f}  "
-              f"reduction x{cell['reduction']['speedup']:.2f}  "
-              f"bounds x{cell['bounds']['speedup']:.2f}", flush=True)
+        print(f"        bounds x{cell['bounds']['speedup']:.2f}", flush=True)
         cells.append(cell)
     medians = {
-        f"{section}_{field}": median_of([cell[section][field] for cell in cells])
-        for section in ("search", "reduction", "bounds")
+        f"bounds_{field}": median_of([cell["bounds"][field] for cell in cells])
         for field in ("kernel_s", "dict_s", "speedup")
     }
     scaling_cells, scaling_medians = run_scaling_axis(mode, repeats)
@@ -1580,8 +1519,8 @@ def main(argv=None) -> int:
                                  "chaos", "durability", "sharedmem",
                                  "incremental"),
                         default="kernel",
-                        help="kernel-vs-dict hot paths + the backend scaling "
-                             "axis, serial-vs-parallel search, cold-vs-warm "
+                        help="kernel-vs-reference ubAD bounds + the backend "
+                             "scaling axis, serial-vs-parallel search, cold-vs-warm "
                              "session caching, the HTTP service tier "
                              "(cold/warm/result-cached), the fault-hook "
                              "overhead check, the WAL-on-vs-off + "

@@ -41,7 +41,7 @@ Models: ``relative`` (the paper's model), ``weak``, ``strong``, and
 ``multi_weak`` (any number of attribute values) — all four backed by the
 pluggable :mod:`repro.models` fairness-model layer, so every engine
 (``exact``, ``heuristic``, ``brute_force``) supports every model, the exact
-engine runs them all on the kernel fast path with ``workers=N``, and
+engine runs them all on the bitset kernel with ``workers=N``, and
 unknown engines / custom unsupported pairs still fail fast.
 
 Sweeps run through :func:`solve_many`, which memoizes the reduction pipeline
@@ -57,7 +57,6 @@ the registry dispatches to.
 """
 
 from repro.api import (
-    BatchExecutor,
     FairCliqueQuery,
     FairCliqueSession,
     Incumbent,
@@ -118,7 +117,6 @@ __all__ = [
     "query_grid",
     "register_engine",
     "available_engines",
-    "BatchExecutor",
     # compiled graph kernel (freeze boundary)
     "GraphKernel",
     "compile_kernel",

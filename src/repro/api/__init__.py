@@ -32,7 +32,7 @@ Engines self-register with :func:`register_engine`; unsupported
 :class:`~repro.exceptions.UnsupportedQueryError` before any work starts.
 """
 
-from repro.api.batch import BatchExecutor, SolveContext, solve, solve_many
+from repro.api.batch import SolveContext, solve, solve_many
 from repro.api.engines import brute_force_engine, exact_engine, heuristic_engine
 from repro.api.query import DELTA_MODELS, MODELS, TASKS, FairCliqueQuery, query_grid
 from repro.api.registry import (
@@ -51,7 +51,6 @@ __all__ = [
     "FairCliqueSession",
     "Incumbent",
     "QueryPlan",
-    "BatchExecutor",
     "FairCliqueQuery",
     "SolveReport",
     "SolveContext",

@@ -15,8 +15,8 @@ machinery both share:
   worker) and solved in a ``concurrent.futures`` process pool.  The graph is
   shipped to each worker exactly once, through the pool *initializer* — task
   submissions carry only the queries — and one :class:`BatchExecutor` (pool +
-  shipped graph + per-worker context) serves every chunk.  Sessions own a
-  persistent executor; constructing one directly is deprecated.
+  shipped graph + per-worker context) serves every chunk.  Sessions own the
+  persistent executor.
 
 Dispatch is validated *before* any work starts: an unsupported
 (model, engine) pair — or an enumeration task on an engine without an
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from collections.abc import Iterable, Sequence
 import time
 
@@ -43,16 +42,6 @@ from repro.reduction.pipeline import DEFAULT_STAGES, PipelineResult, ReductionPi
 import repro.api.engines  # noqa: F401  (imported for the side effect: built-in engines register)
 
 
-def _deprecated_construction(name: str) -> None:
-    warnings.warn(
-        f"constructing {name} directly is deprecated; open a "
-        "repro.api.FairCliqueSession instead — it owns the prepared-graph "
-        "artifacts (and, for batches, the persistent worker pool)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class SolveContext:
     """Per-graph scratch space shared by the engines of one session/batch.
 
@@ -60,17 +49,13 @@ class SolveContext:
     hits/misses in :attr:`telemetry`; compiled kernels ride along via
     :meth:`kernel` (memoized on the graphs themselves).  ``incumbent_hook``
     is the streaming tap: when a session streams a query, engines attach it
-    to their solver so every improving incumbent is published.
-
-    .. deprecated::
-        Direct construction — prefer
-        :class:`~repro.api.session.FairCliqueSession`, which owns a context
-        for the whole session.
+    to their solver so every improving incumbent is published.  Every engine
+    receives one as its ``context`` argument; a
+    :class:`~repro.api.session.FairCliqueSession` owns the context of its
+    graph.
     """
 
-    def __init__(self, graph: AttributedGraph, *, _internal: bool = False) -> None:
-        if not _internal:
-            _deprecated_construction("SolveContext")
+    def __init__(self, graph: AttributedGraph) -> None:
         self.graph = graph
         self._reductions: dict[tuple, tuple[PipelineResult, float]] = {}
         #: Attribute domain of the graph at context creation — every cached
@@ -235,7 +220,6 @@ def solve(
     query: FairCliqueQuery | None = None,
     *,
     registry: EngineRegistry | None = None,
-    context: SolveContext | None = None,
     **query_fields,
 ) -> SolveReport:
     """Answer one fair-clique query — a thin wrapper over an ephemeral session.
@@ -249,8 +233,7 @@ def solve(
     Re-querying the same graph?  Open a
     :class:`~repro.api.session.FairCliqueSession` instead — it keeps the
     reduction artifacts and compiled kernels warm across queries, where this
-    function rebuilds them per call (``context=`` is the legacy escape hatch
-    for sharing them manually).
+    function rebuilds them per call.
 
     Raises :class:`~repro.exceptions.UnsupportedQueryError` when the engine
     does not exist, does not support the model, or cannot answer the task.
@@ -261,8 +244,6 @@ def solve(
         raise InvalidParameterError(
             "pass either a FairCliqueQuery or query fields as keywords, not both"
         )
-    if context is not None:
-        return _dispatch_query(graph, query, context, registry)
     from repro.api.session import FairCliqueSession
 
     with FairCliqueSession(graph, registry=registry) as session:
@@ -276,7 +257,6 @@ def solve_many(
     registry: EngineRegistry | None = None,
     share_reduction: bool = True,
     max_workers: int | None = None,
-    executor: "BatchExecutor | None" = None,
 ) -> list[SolveReport]:
     """Answer a batch of queries over one graph — a wrapper over an ephemeral session.
 
@@ -288,24 +268,10 @@ def solve_many(
     max_workers:
         When > 1, solve in a process pool.  Queries are grouped by ``k`` so
         reduction sharing survives the split; the workers dispatch through
-        the default registry (custom registries are process-local).
-    executor:
-        Legacy: a :class:`BatchExecutor` to run the chunks on, reusing its
-        pool and the graph already shipped to its workers.  Must have been
-        created for the *same* graph object.  New code reuses pools by
-        calling :meth:`FairCliqueSession.solve_many` on one session instead.
+        the default registry (custom registries are process-local).  To reuse
+        one pool across batches, call :meth:`FairCliqueSession.solve_many`
+        on one session.
     """
-    if executor is not None:
-        query_list = _validated_queries(queries, registry)
-        if registry is not None:
-            raise InvalidParameterError(
-                "custom registries cannot be shipped to worker processes; "
-                "use the default registry or max_workers=1"
-            )
-        _check_executor(graph, executor)
-        return _solve_parallel(
-            graph, query_list, executor.max_workers, share_reduction, executor
-        )
     from repro.api.session import FairCliqueSession
 
     with FairCliqueSession(graph, registry=registry) as session:
@@ -356,7 +322,7 @@ def _init_batch_worker(graph: AttributedGraph) -> None:
     """Pool initializer: receive the graph once, build the worker's context."""
     global _WORKER_GRAPH, _WORKER_CONTEXT
     _WORKER_GRAPH = graph
-    _WORKER_CONTEXT = SolveContext(graph, _internal=True)
+    _WORKER_CONTEXT = SolveContext(graph)
 
 
 def _solve_chunk(
@@ -370,7 +336,7 @@ def _solve_chunk(
     graph = _WORKER_GRAPH
     if graph is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("batch worker used before its initializer ran")
-    context = _WORKER_CONTEXT if share_context else SolveContext(graph, _internal=True)
+    context = _WORKER_CONTEXT if share_context else SolveContext(graph)
     assert context is not None
     return [_dispatch_query(graph, query, context) for query in queries]
 
@@ -379,27 +345,14 @@ class BatchExecutor:
     """A reusable process pool with the graph shipped once to every worker.
 
     Creating the pool pays the graph pickling cost ``max_workers`` times —
-    after that, submitting a chunk ships only the queries.
-
-    .. deprecated::
-        Direct construction — a
-        :class:`~repro.api.session.FairCliqueSession` owns a persistent
-        executor and reuses it across every ``solve_many`` on the session::
-
-            with FairCliqueSession(graph) as session:
-                first = session.solve_many(grid_a, max_workers=4)
-                second = session.solve_many(grid_b, max_workers=4)
-
-        The legacy ``solve_many(..., executor=...)`` path keeps working.
+    after that, submitting a chunk ships only the queries.  A
+    :class:`~repro.api.session.FairCliqueSession` owns one and reuses it
+    across every ``solve_many`` on the session.
     """
 
-    def __init__(
-        self, graph: AttributedGraph, max_workers: int, *, _internal: bool = False
-    ) -> None:
+    def __init__(self, graph: AttributedGraph, max_workers: int) -> None:
         from concurrent.futures import ProcessPoolExecutor
 
-        if not _internal:
-            _deprecated_construction("BatchExecutor")
         if max_workers < 1:
             raise InvalidParameterError(
                 f"max_workers must be a positive integer, got {max_workers!r}"

@@ -102,7 +102,6 @@ def _resolve_exact(graph: AttributedGraph, query: FairCliqueQuery):
         "bound_stack": "ubAD",
         "use_reduction": True,
         "use_heuristic": True,
-        "use_kernel": True,
         "ordering": None,
         "branch_limit": None,
         "bound_depth": 2,
@@ -157,14 +156,13 @@ def exact_engine(
         reduction, seconds_charged, cache_hit = context.reduced(query.k, stages)
         metadata["reduction"] = [stage.summary() for stage in reduction.stages]
         metadata["reduction_cache_hit"] = cache_hit
-    if config.use_kernel:
-        # Prepare step: compile (or fetch the memoized) kernel of the graph
-        # the search will actually branch over, so repeated queries against
-        # one reduction artifact share a single compiled snapshot.
-        search_graph = reduction.graph if reduction is not None else graph
-        if search_graph.num_vertices:
-            kernel = context.kernel(search_graph)
-            metadata["kernel"] = {"n": kernel.n, "m": kernel.num_edges}
+    # Prepare step: compile (or fetch the memoized) kernel of the graph the
+    # search will actually branch over, so repeated queries against one
+    # reduction artifact share a single compiled snapshot.
+    search_graph = reduction.graph if reduction is not None else graph
+    if search_graph.num_vertices:
+        kernel = context.kernel(search_graph)
+        metadata["kernel"] = {"n": kernel.n, "m": kernel.num_edges}
     workers = query.workers or 1
     if workers > 1:
         from repro.parallel import ParallelConfig, ParallelMaxRFC

@@ -153,7 +153,6 @@ class QueryPlan:
     reduction_stages: tuple[str, ...]
     bound_stack: tuple[str, ...] | None
     bound_stack_substituted: dict | None
-    use_kernel: bool
     workers: int
     reduction_cached: bool
     kernel_ready: bool
@@ -188,7 +187,6 @@ class QueryPlan:
             "reduction_stages": list(self.reduction_stages),
             "bound_stack": None if self.bound_stack is None else list(self.bound_stack),
             "bound_stack_substituted": self.bound_stack_substituted,
-            "use_kernel": self.use_kernel,
             "kernel_backend": self.kernel_backend,
             "kernel_origin": self.kernel_origin,
             "kernel_deltas": self.kernel_deltas,
@@ -230,7 +228,6 @@ class QueryPlan:
             bound_stack_substituted=(
                 None if substituted is None else dict(substituted)
             ),
-            use_kernel=payload["use_kernel"],
             kernel_backend=payload.get("kernel_backend", "int"),
             kernel_origin=payload.get("kernel_origin"),
             kernel_deltas=payload.get("kernel_deltas", 0),
@@ -274,12 +271,7 @@ class QueryPlan:
                 else ""
             ),
             f"bounds     {' + '.join(self.bound_stack) if self.bound_stack else '(none)'}",
-            f"kernel     "
-            + (
-                f"bitset/CSR ({self.kernel_backend})"
-                if self.use_kernel
-                else "dict"
-            )
+            f"kernel     bitset/CSR ({self.kernel_backend})"
             + (
                 "  [compiled]"
                 if self.kernel_ready and self.kernel_origin != "patched"
@@ -373,7 +365,7 @@ class FairCliqueSession:
         self._registry = registry or default_registry
         self._custom_registry = registry is not None
         self._default_max_workers = max_workers
-        self.context = SolveContext(graph, _internal=True)
+        self.context = SolveContext(graph)
         #: Warm-start exact maximum solves with the last clique this session
         #: found for the same ``(model, k, delta)`` — after :meth:`refresh`,
         #: a still-valid previous optimum becomes the initial incumbent, so
@@ -480,7 +472,7 @@ class FairCliqueSession:
         if delta is None:
             # Journal history dropped: nothing to replay, rebuild in place.
             stats["refreshes_cold"] += 1
-            self.context = SolveContext(self.graph, _internal=True)
+            self.context = SolveContext(self.graph)
             self.graph_version = self.graph.version
             return {"mode": "cold", "version": self.graph_version}
         stats["deltas_applied"] += delta.batches
@@ -638,7 +630,7 @@ class FairCliqueSession:
             return [
                 _dispatch_query(
                     self.graph, query,
-                    SolveContext(self.graph, _internal=True), self._registry,
+                    SolveContext(self.graph), self._registry,
                 )
                 for query in query_list
             ]
@@ -654,7 +646,7 @@ class FairCliqueSession:
                 self._executor.close()
                 self._executor = None
             if self._executor is None:
-                self._executor = BatchExecutor(self.graph, max_workers, _internal=True)
+                self._executor = BatchExecutor(self.graph, max_workers)
             executor = self._executor
         _check_executor(self.graph, executor)
         return executor
@@ -837,7 +829,6 @@ class FairCliqueSession:
                 reduction_stages=(),
                 bound_stack=None,
                 bound_stack_substituted=None,
-                use_kernel=query.engine == "exact",
                 workers=1,
                 reduction_cached=False,
                 kernel_ready=self.graph.kernel_ready,
@@ -865,15 +856,10 @@ class FairCliqueSession:
             )
             reduction_cached = reduction is not None
             search_graph = reduction.graph if reduction is not None else self.graph
-            kernel_ready = config.use_kernel and search_graph.kernel_ready
+            kernel_ready = search_graph.kernel_ready
             shard_plan = None
             if workers > 1:
-                if not config.use_kernel:
-                    notes.append(
-                        "workers require the kernel path; use_kernel=False "
-                        "will be rejected at solve time"
-                    )
-                elif config.use_reduction and not reduction_cached:
+                if config.use_reduction and not reduction_cached:
                     notes.append(
                         "shard plan unresolved: the reduction for this k is "
                         "not cached yet — run (or warm) the query first"
@@ -898,7 +884,6 @@ class FairCliqueSession:
                 reduction_stages=tuple(stages),
                 bound_stack=None if stack is None else tuple(stack.names),
                 bound_stack_substituted=substitution,
-                use_kernel=config.use_kernel,
                 workers=workers,
                 reduction_cached=reduction_cached,
                 reduction_origin=(
@@ -935,7 +920,6 @@ class FairCliqueSession:
             reduction_stages=(),
             bound_stack=None,
             bound_stack_substituted=None,
-            use_kernel=query.engine == "brute_force",
             workers=1,
             reduction_cached=False,
             kernel_ready=self.graph.kernel_ready,

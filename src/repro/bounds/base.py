@@ -82,10 +82,9 @@ def make_context(
     Raises :class:`~repro.exceptions.AttributeCountError` on non-binary
     graphs: every attribute-aware bound (Lemmas 6, 8-9 and the colorful
     family) encodes two-sided arithmetic, and silently lumping extra values
-    into side *b* would produce bounds smaller than the optimum.  Model
-    layers that run attribute-free bounds on wider domains build their
-    context through :meth:`repro.models.base.ActiveModel.bound_context`
-    instead.
+    into side *b* would produce bounds smaller than the optimum.  The
+    search evaluates bounds on the kernel (:mod:`repro.kernel.bounds`),
+    where wider domains run attribute-free bounds only.
     """
     attribute_a, attribute_b = graph.attribute_pair()
     return BoundContext(

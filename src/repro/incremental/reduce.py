@@ -45,8 +45,6 @@ def refresh_reduction(
     k: int,
     stages,
     old_domain,
-    *,
-    use_kernel: bool = True,
 ) -> tuple[PipelineResult, dict]:
     """Refresh ``old_result`` (a pipeline run for ``(k, stages)``) after ``delta``.
 
@@ -61,9 +59,6 @@ def refresh_reduction(
     old_domain:
         ``attribute_values()`` of the pre-delta graph (the old run's step-0
         domain; the pre-delta graph itself no longer exists).
-    use_kernel:
-        Must match the flag the cached run used, so a fallback full run and
-        the partial run take the same code path.
 
     Returns ``(result, info)`` where ``result`` is a valid pipeline result
     for the mutated graph — its survivor graph is content-identical to a
@@ -74,18 +69,18 @@ def refresh_reduction(
     stage_names = tuple(stages)
     new_domain = graph.attribute_values()
     if tuple(old_domain) != new_domain:
-        return _full(graph, k, stage_names, use_kernel, "attribute domain changed")
+        return _full(graph, k, stage_names, "attribute domain changed")
     if delta.is_empty:
         return old_result, {"mode": "reused", "components": None}
     if graph.num_vertices == 0:
-        return _full(graph, k, stage_names, use_kernel, "graph emptied")
+        return _full(graph, k, stage_names, "graph emptied")
 
     touched = {v for v in delta.touched_vertices() if graph.has_vertex(v)}
     components = [frozenset(c) for c in connected_components(graph)]
     touched_comps = [c for c in components if not touched.isdisjoint(c)]
     untouched_comps = [c for c in components if touched.isdisjoint(c)]
     if not untouched_comps:
-        return _full(graph, k, stage_names, use_kernel, "every component touched")
+        return _full(graph, k, stage_names, "every component touched")
     untouched: set = set().union(*untouched_comps)
 
     partial: Optional[PipelineResult] = None
@@ -97,18 +92,18 @@ def refresh_reduction(
         # enhanced stages): the partial run must see the full domain.
         if {graph.attribute(v) for v in touched_union} != set(new_domain):
             return _full(
-                graph, k, stage_names, use_kernel,
+                graph, k, stage_names,
                 "touched components miss attribute value(s)",
             )
         try:
-            partial = ReductionPipeline(stage_names, use_kernel=use_kernel).run(
+            partial = ReductionPipeline(stage_names).run(
                 graph.subgraph(touched_union), k
             )
         except AttributeCountError:
             # An intermediate partial survivor graph left the domain a stage
             # supports; the combined full-run input would not have.
             return _full(
-                graph, k, stage_names, use_kernel,
+                graph, k, stage_names,
                 "partial run left the supported domain",
             )
 
@@ -142,14 +137,14 @@ def refresh_reduction(
         # peeled it — same global domain at this step.
         if reused_dom and (reused_dom | partial_dom) != old_dom:
             return _full(
-                graph, k, stage_names, use_kernel,
+                graph, k, stage_names,
                 f"domain drift at stage {stage_names[i]}",
             )
         # Requirement 2: the partial run must have seen the domain the full
         # run would see (no untouched-only value missing from its input).
         if partial_dom and not reused_dom <= partial_dom:
             return _full(
-                graph, k, stage_names, use_kernel,
+                graph, k, stage_names,
                 f"partial run under-scoped at stage {stage_names[i]}",
             )
 
@@ -175,7 +170,7 @@ def refresh_reduction(
 
 
 def _full(
-    graph: AttributedGraph, k: int, stage_names: tuple, use_kernel: bool, reason: str
+    graph: AttributedGraph, k: int, stage_names: tuple, reason: str
 ) -> tuple[PipelineResult, dict]:
     """Fallback: cold pipeline run (the refresh gates rejected reuse).
 
@@ -187,7 +182,7 @@ def _full(
     session's ``refresh()``.
     """
     try:
-        result = ReductionPipeline(stage_names, use_kernel=use_kernel).run(graph, k)
+        result = ReductionPipeline(stage_names).run(graph, k)
     except AttributeCountError:
         passthrough = AttributedGraph()
         _copy_into(passthrough, graph, None)

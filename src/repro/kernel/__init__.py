@@ -9,10 +9,11 @@ reproduction — the MaxRFC branch-and-bound, the support/core reductions, the
 runs on this snapshot; the mutable ``AttributedGraph`` remains the
 user-facing builder and crosses the freeze boundary via ``graph.compile()``.
 
-The kernel is *result-identical* to the dict-based implementations (same
-cliques, same reduction survivors, same bound values); the parity test suite
-under ``tests/test_kernel`` enforces this on randomized instances across all
-fairness models.
+The kernel is tested against independent set-based references: the parity
+suite under ``tests/test_kernel`` checks kernel cores, reduction survivors,
+bound values and maximal-clique sets against :mod:`repro.cores`,
+:mod:`repro.bounds` and the reference clique enumerator, and the oracle fuzz
+under ``tests/test_search`` checks exact solves against brute force.
 """
 
 from repro.kernel.backend import (

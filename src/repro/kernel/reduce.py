@@ -1,15 +1,16 @@
 """Edge-peeling reductions on the compiled kernel.
 
-Bitset/CSR ports of the two support-based reductions (Algorithm 1 / Lemma 3
-and Lemma 4).  The dict implementations spend most of their time hashing
-vertex ids — every edge key is built by comparing ``str(u)``/``str(v)`` and
-every common-neighbour enumeration walks Python sets.  Here an edge key is a
-plain ``(min, max)`` int pair, the common neighbourhood of an edge is one
-``&`` of two adjacency bitsets, and edge removal is two ``&= ~bit`` updates.
+The two support-based reductions (Algorithm 1 / Lemma 3 and Lemma 4) on
+bitset adjacency: an edge key is a plain ``(min, max)`` int pair, the common
+neighbourhood of an edge is one ``&`` of two adjacency bitsets, and edge
+removal is two ``&= ~bit`` updates.
 
-Both peels reach the same fixed point as their dict counterparts (the
-survival conditions are monotone in the edge set, so the maximal surviving
-subgraph is unique) — asserted by the parity suite.
+The survival conditions are monotone in the edge set, so the maximal
+surviving subgraph is unique and the peel order does not matter.  The parity
+suite checks both peels against a from-definition fixpoint that recomputes
+:func:`~repro.reduction.colorful_support.colorful_supports` /
+:func:`~repro.reduction.enhanced_support.enhanced_colorful_supports` after
+every round.
 """
 
 from __future__ import annotations
@@ -166,9 +167,8 @@ def enhanced_support_peel(
 ) -> tuple[list[int], int]:
     """Run the EnColorfulSup edge peel; return ``(surviving adjacency, edges peeled)``.
 
-    Reuses the incremental only-a/only-b/mixed group bookkeeping of the dict
-    implementation (:class:`repro.reduction.enhanced_support._EdgeGroups`) —
-    only the graph traversal changes representation.
+    Tracks each edge's only-a/only-b/mixed color groups incrementally with
+    :class:`repro.reduction.enhanced_support._EdgeGroups`.
     """
     n = kernel.n
     attr_codes = kernel.attr_codes

@@ -2,10 +2,10 @@
 
 This is the hot path of the whole package.  One :class:`KernelBranchAndBound`
 instance explores one rank-ordered connected component through a
-:class:`~repro.kernel.view.SubgraphView`; the search makes exactly the same
-decisions as the dict-based ``MaxRFC._branch`` — same pruning rules, same
-candidate iteration order, same statistics counters — but every per-branch
-set operation is collapsed into integer bit arithmetic:
+:class:`~repro.kernel.view.SubgraphView`, enumerating cliques in increasing
+rank order and pruning with size, incumbent, per-attribute feasibility,
+fairness-gap and bound-stack arguments.  Every per-branch set operation is
+collapsed into integer bit arithmetic:
 
 * candidate narrowing ``{v in C, rank(v) > rank(u)} ∩ N(u)`` is
   ``cand & adj[u] & (-1 << (p + 1))`` — three machine-word ops per word
@@ -30,9 +30,10 @@ nodes are pruned leaves, so this removes the interpreter's call overhead
 from the bulk of the tree while visiting exactly the same nodes in exactly
 the same order.
 
-Because the traversal order and prune decisions are identical, the kernel
-search returns the *same clique* as the dict search, not merely one of equal
-size — the parity suite pins this down to the statistics counters.
+The traversal order is deterministic, so every storage backend returns the
+*same clique* with the same statistics counters (pinned by the backend
+parity matrix), and the optimum's size is checked against an independent
+brute-force oracle (``tests/test_search/test_oracle_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -284,9 +285,9 @@ class KernelBranchAndBound:
         child_depth = depth + 1
         child_size = size_r + 1
 
-        # Same iteration protocol as the dict search: root candidates in
-        # descending rank (big colorful cores first, so the incumbent grows
-        # early), deeper levels ascending so the suffix-size early exit holds.
+        # Root candidates in descending rank (big colorful cores first, so
+        # the incumbent grows early), deeper levels ascending so the
+        # suffix-size early exit holds.
         # Candidates are streamed straight off the mask — no positions list
         # is materialised per node.
         if depth == 0:

@@ -18,9 +18,8 @@ multi-attribute weak) differ only in a handful of places:
 * which **heuristic** seeds the incumbent.
 
 A :class:`FairnessModel` captures exactly those decisions once, and the
-search/reduction/parallel layers consume them generically — the dict
-branch-and-bound (:meth:`repro.search.maxrfc.MaxRFC._branch`), the kernel
-branch-and-bound (:class:`repro.kernel.search.KernelBranchAndBound`), and the
+search/reduction/parallel layers consume them generically — the kernel
+branch-and-bound (:class:`repro.kernel.search.KernelBranchAndBound`) and the
 parallel shard planner (:func:`repro.parallel.sharding.plan_shards`) never
 branch on model names.  Adding a new model means writing one small class
 here, not porting another copy of the solver.
@@ -126,10 +125,6 @@ class ActiveModel:
             [histogram.get(value, 0) for value in self.domain]
         )
 
-    def code_of(self) -> dict:
-        """Mapping from attribute value to its position in ``domain``."""
-        return {value: index for index, value in enumerate(self.domain)}
-
     def kernel_masks(self, kernel) -> tuple[int, ...]:
         """Per-domain-value vertex bitsets of a kernel snapshot.
 
@@ -171,34 +166,6 @@ class ActiveModel:
             masks[slot] |= view.attr_masks[code]
         codes = [slots[code] for code in view.attr_codes]
         return tuple(masks), codes
-
-    def bound_context(self, graph, clique, candidates):
-        """A :class:`~repro.bounds.base.BoundContext` for one ``(R, C)`` instance.
-
-        Unlike the public :func:`~repro.bounds.base.make_context` — which
-        refuses non-binary graphs because the attribute-aware bounds are
-        unsound there — this builds the context from the model's own domain:
-        on two-value domains the attribute pair is the canonical one (even
-        if reduction eliminated one value from the working graph), and on
-        wider domains the pair degrades to the first domain values, which is
-        safe *only* because the model's resolved stack then contains
-        attribute-free bounds exclusively.
-        """
-        from repro.bounds.base import BoundContext
-
-        if len(self.domain) >= 2:
-            attribute_a, attribute_b = self.domain[0], self.domain[1]
-        else:
-            attribute_a = attribute_b = self.domain[0] if self.domain else "a"
-        return BoundContext(
-            graph=graph,
-            clique=frozenset(clique),
-            candidates=frozenset(candidates),
-            k=self.quota,
-            delta=self.bound_delta,
-            attribute_a=attribute_a,
-            attribute_b=attribute_b,
-        )
 
 
 class FairnessModel:

@@ -45,7 +45,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 
-from repro.exceptions import InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.kernel.words import WordsGraphKernel
 from repro.models.base import ActiveModel
@@ -214,11 +213,6 @@ class ParallelMaxRFC(MaxRFC):
         #: prune from the very first branch.  Checkpoints are best-effort —
         #: any save/load failure is counted in telemetry, never raised.
         self.checkpoint = checkpoint
-        if self.parallel.workers > 1 and not self.config.use_kernel:
-            raise InvalidParameterError(
-                "parallel search runs on kernel snapshots; "
-                "use_kernel=False requires workers=1"
-            )
 
     # ------------------------------------------------------------------ #
     # Component loop override

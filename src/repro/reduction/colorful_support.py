@@ -23,8 +23,6 @@ fair clique of the input.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.coloring.greedy import Coloring, greedy_coloring
 from repro.graph.attributed_graph import AttributedGraph, Vertex
 from repro.graph.validation import validate_binary_attributes, validate_parameters
@@ -65,8 +63,9 @@ def colorful_supports(
 ) -> dict[EdgeKey, dict[str, int]]:
     """Compute ``sup_a`` and ``sup_b`` for every edge of ``graph`` (Definition 6).
 
-    Mainly a diagnostic / testing helper; the peeling routine below maintains
-    the same quantities incrementally.
+    Mainly a diagnostic / testing helper; the kernel peel
+    (:func:`repro.kernel.reduce.colorful_support_peel`) maintains the same
+    quantities incrementally.
     """
     attribute_a, attribute_b = validate_binary_attributes(graph)
     if coloring is None:
@@ -87,93 +86,15 @@ def colorful_support_reduction(
     graph: AttributedGraph,
     k: int,
     coloring: Coloring | None = None,
-    *,
-    use_kernel: bool = True,
 ) -> ReductionResult:
     """Run the ColorfulSup edge-peeling reduction (Algorithm 1).
 
     Returns a :class:`ReductionResult` whose graph is the maximal subgraph of
     Lemma 3 with isolated vertices dropped.  The input graph is not modified.
-
-    By default the peel runs on the compiled bitset kernel (same survivors —
-    the Lemma 3 subgraph is unique — at a fraction of the cost);
-    ``use_kernel=False`` forces the original dict-based peel, kept for
-    parity testing and as a reference implementation.
     """
     validate_parameters(k, 0)
-    attribute_a, attribute_b = validate_binary_attributes(graph)
-    if use_kernel:
-        return _kernel_support_reduction(graph, k, coloring, enhanced=False)
-    working = graph.copy()
-    if coloring is None:
-        coloring = greedy_coloring(graph)
-
-    # M[(u,v)][(attribute, color)] -> number of common neighbours of u and v
-    # with that attribute and color;  sup[(u,v)][attribute] -> distinct colors.
-    tracker: dict[EdgeKey, dict[tuple[str, int], int]] = {}
-    support: dict[EdgeKey, dict[str, int]] = {}
-    for u, v in working.edges():
-        key = edge_key(u, v)
-        counts: dict[tuple[str, int], int] = {}
-        sup = {attribute_a: 0, attribute_b: 0}
-        for w in working.common_neighbors(u, v):
-            slot = (working.attribute(w), coloring[w])
-            if slot not in counts:
-                sup[slot[0]] += 1
-            counts[slot] = counts.get(slot, 0) + 1
-        tracker[key] = counts
-        support[key] = sup
-
-    def violates(u: Vertex, v: Vertex) -> bool:
-        need_a, need_b = support_thresholds(
-            working.attribute(u), working.attribute(v), attribute_a, k
-        )
-        sup = support[edge_key(u, v)]
-        return sup[attribute_a] < need_a or sup[attribute_b] < need_b
-
-    queue: deque[EdgeKey] = deque()
-    condemned: set[EdgeKey] = set()
-    for u, v in working.edges():
-        if violates(u, v):
-            key = edge_key(u, v)
-            queue.append(key)
-            condemned.add(key)
-
-    while queue:
-        u, v = queue.popleft()
-        if not working.has_edge(u, v):
-            continue
-        # Snapshot the surviving triangles through (u, v) before deleting it.
-        common = working.common_neighbors(u, v)
-        working.remove_edge(u, v)
-        for w in common:
-            for x, y, lost in ((u, w, v), (v, w, u)):
-                key = edge_key(x, y)
-                if key in condemned or not working.has_edge(x, y):
-                    continue
-                slot = (working.attribute(lost), coloring[lost])
-                counts = tracker[key]
-                remaining = counts.get(slot, 0) - 1
-                if remaining <= 0:
-                    counts.pop(slot, None)
-                    support[key][slot[0]] -= 1
-                    if violates(x, y):
-                        queue.append(key)
-                        condemned.add(key)
-                else:
-                    counts[slot] = remaining
-
-    survivors = [vertex for vertex in working.vertices() if working.degree(vertex) > 0]
-    reduced = working.subgraph(survivors)
-    return ReductionResult(
-        name="ColorfulSup",
-        graph=reduced,
-        vertices_before=graph.num_vertices,
-        vertices_after=reduced.num_vertices,
-        edges_before=graph.num_edges,
-        edges_after=reduced.num_edges,
-        extra={"edges_peeled": graph.num_edges - working.num_edges},
-    )
+    validate_binary_attributes(graph)
+    return _kernel_support_reduction(graph, k, coloring, enhanced=False)
 
 
 def _kernel_support_reduction(
@@ -182,7 +103,7 @@ def _kernel_support_reduction(
     coloring: Coloring | None,
     enhanced: bool,
 ) -> ReductionResult:
-    """Shared kernel fast path for ColorfulSup / EnColorfulSup.
+    """Shared kernel peel of ColorfulSup / EnColorfulSup.
 
     Compiles the frozen snapshot, peels on bitset adjacency, and
     materialises the surviving (isolated-vertex-free) subgraph back into an

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.coloring.greedy import Coloring, greedy_coloring
-from repro.cores.colorful import colorful_k_core
-from repro.cores.enhanced import enhanced_colorful_k_core
+from repro.coloring.greedy import Coloring
 from repro.graph.attributed_graph import AttributedGraph, Vertex
-from repro.graph.validation import validate_parameters
+from repro.graph.validation import validate_binary_attributes, validate_parameters
 
 
 @dataclass
@@ -90,10 +88,10 @@ def _kernel_core_reduction(
     coloring: Coloring | None,
     enhanced: bool,
 ) -> ReductionResult:
-    """Kernel fast path shared by the two core reductions.
+    """Peel the (enhanced) colorful ``(k-1)``-core on the compiled kernel.
 
-    Both peels converge to the unique maximal subgraph of their lemma, so the
-    kernel and dict implementations agree on the survivor set.
+    Both peels converge to the unique maximal subgraph of their lemma, so
+    the survivors do not depend on the peel order.
     """
     from repro.kernel import (
         colorful_k_core_mask,
@@ -124,58 +122,25 @@ def colorful_core_reduction(
     graph: AttributedGraph,
     k: int,
     coloring: Coloring | None = None,
-    *,
-    use_kernel: bool = True,
 ) -> ReductionResult:
-    """Apply the ColorfulCore reduction: keep the colorful ``(k-1)``-core (Lemma 1).
-
-    Runs on the compiled bitset kernel by default; ``use_kernel=False``
-    forces the dict-based reference peel (identical survivors).
-    """
+    """Apply the ColorfulCore reduction: keep the colorful ``(k-1)``-core (Lemma 1)."""
     validate_parameters(k, 0)
-    if use_kernel and graph.num_vertices:
-        return _kernel_core_reduction(graph, k, coloring, enhanced=False)
-    if coloring is None:
-        coloring = greedy_coloring(graph)
-    survivors = colorful_k_core(graph, k - 1, coloring)
-    reduced = graph.subgraph(survivors)
-    return ReductionResult(
-        name="ColorfulCore",
-        graph=reduced,
-        vertices_before=graph.num_vertices,
-        vertices_after=reduced.num_vertices,
-        edges_before=graph.num_edges,
-        edges_after=reduced.num_edges,
-    )
+    return _kernel_core_reduction(graph, k, coloring, enhanced=False)
 
 
 def enhanced_colorful_core_reduction(
     graph: AttributedGraph,
     k: int,
     coloring: Coloring | None = None,
-    *,
-    use_kernel: bool = True,
 ) -> ReductionResult:
     """Apply the EnColorfulCore reduction: keep the enhanced colorful ``(k-1)``-core (Lemma 2).
 
-    Runs on the compiled bitset kernel by default; ``use_kernel=False``
-    forces the dict-based reference peel (identical survivors).
+    Raises :class:`~repro.exceptions.AttributeCountError` unless the graph
+    carries exactly two attribute values.
     """
     validate_parameters(k, 0)
-    if use_kernel and graph.num_vertices and len(graph.attribute_values()) == 2:
-        return _kernel_core_reduction(graph, k, coloring, enhanced=True)
-    if coloring is None:
-        coloring = greedy_coloring(graph)
-    survivors = enhanced_colorful_k_core(graph, k - 1, coloring)
-    reduced = graph.subgraph(survivors)
-    return ReductionResult(
-        name="EnColorfulCore",
-        graph=reduced,
-        vertices_before=graph.num_vertices,
-        vertices_after=reduced.num_vertices,
-        edges_before=graph.num_edges,
-        edges_after=reduced.num_edges,
-    )
+    validate_binary_attributes(graph)
+    return _kernel_core_reduction(graph, k, coloring, enhanced=True)
 
 
 def drop_isolated_vertices(graph: AttributedGraph) -> ReductionResult:

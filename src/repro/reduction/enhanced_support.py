@@ -24,12 +24,15 @@ attribute endpoints, ``k-1``/``k-1`` for mixed endpoints).
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.coloring.greedy import Coloring, greedy_coloring
-from repro.graph.attributed_graph import AttributedGraph, Vertex
+from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.validation import validate_binary_attributes, validate_parameters
-from repro.reduction.colorful_support import EdgeKey, edge_key, support_thresholds
+from repro.reduction.colorful_support import (
+    EdgeKey,
+    _kernel_support_reduction,
+    edge_key,
+    support_thresholds,
+)
 from repro.reduction.core_reduction import ReductionResult
 
 
@@ -161,76 +164,13 @@ def enhanced_colorful_support_reduction(
     graph: AttributedGraph,
     k: int,
     coloring: Coloring | None = None,
-    *,
-    use_kernel: bool = True,
 ) -> ReductionResult:
     """Run the EnColorfulSup edge-peeling reduction (Lemma 4).
 
     Identical peeling skeleton to :func:`colorful_support_reduction` but the
     survival test uses enhanced colorful support, which is never larger than
     the plain colorful support and therefore peels at least as many edges.
-
-    Runs on the compiled bitset kernel by default (identical survivors, much
-    cheaper); ``use_kernel=False`` forces the dict-based reference peel.
     """
     validate_parameters(k, 0)
-    attribute_a, attribute_b = validate_binary_attributes(graph)
-    if use_kernel:
-        from repro.reduction.colorful_support import _kernel_support_reduction
-
-        return _kernel_support_reduction(graph, k, coloring, enhanced=True)
-    working = graph.copy()
-    if coloring is None:
-        coloring = greedy_coloring(graph)
-
-    groups: dict[EdgeKey, _EdgeGroups] = {}
-    for u, v in working.edges():
-        state = _EdgeGroups()
-        for w in working.common_neighbors(u, v):
-            state.add(coloring[w], working.attribute(w) == attribute_a)
-        groups[edge_key(u, v)] = state
-
-    def violates(u: Vertex, v: Vertex) -> bool:
-        need_a, need_b = support_thresholds(
-            working.attribute(u), working.attribute(v), attribute_a, k
-        )
-        state = groups[edge_key(u, v)]
-        return not edge_satisfies_enhanced_support(
-            state.count_a, state.count_b, state.count_mixed, need_a, need_b
-        )
-
-    queue: deque[EdgeKey] = deque()
-    condemned: set[EdgeKey] = set()
-    for u, v in working.edges():
-        if violates(u, v):
-            key = edge_key(u, v)
-            queue.append(key)
-            condemned.add(key)
-
-    while queue:
-        u, v = queue.popleft()
-        if not working.has_edge(u, v):
-            continue
-        common = working.common_neighbors(u, v)
-        working.remove_edge(u, v)
-        for w in common:
-            for x, y, lost in ((u, w, v), (v, w, u)):
-                key = edge_key(x, y)
-                if key in condemned or not working.has_edge(x, y):
-                    continue
-                groups[key].remove(coloring[lost], working.attribute(lost) == attribute_a)
-                if violates(x, y):
-                    queue.append(key)
-                    condemned.add(key)
-
-    survivors = [vertex for vertex in working.vertices() if working.degree(vertex) > 0]
-    reduced = working.subgraph(survivors)
-    return ReductionResult(
-        name="EnColorfulSup",
-        graph=reduced,
-        vertices_before=graph.num_vertices,
-        vertices_after=reduced.num_vertices,
-        edges_before=graph.num_edges,
-        edges_after=reduced.num_edges,
-        extra={"edges_peeled": graph.num_edges - working.num_edges},
-    )
+    validate_binary_attributes(graph)
+    return _kernel_support_reduction(graph, k, coloring, enhanced=True)

@@ -26,8 +26,7 @@ from repro.reduction.core_reduction import (
 from repro.reduction.enhanced_support import enhanced_colorful_support_reduction
 from repro.resilience import faults
 
-#: Stage callables take ``(graph, k, coloring)`` positionally and must accept
-#: a keyword-only ``use_kernel`` flag selecting the bitset or dict code path.
+#: Stage callables take ``(graph, k, coloring)`` positionally.
 ReductionStage = Callable[[AttributedGraph, int, Coloring | None], ReductionResult]
 
 STAGE_REGISTRY: dict[str, ReductionStage] = {
@@ -87,11 +86,6 @@ class ReductionPipeline:
     stages:
         Stage names in execution order.  Defaults to the paper's
         ``EnColorfulCore -> ColorfulSup -> EnColorfulSup`` sequence.
-    use_kernel:
-        Run each stage on the compiled bitset kernel (the default).  The
-        dict-based stage implementations remain available with
-        ``use_kernel=False`` for parity testing and pre-kernel baselines;
-        both paths produce identical surviving subgraphs.
 
     Examples
     --------
@@ -102,16 +96,11 @@ class ReductionPipeline:
     True
     """
 
-    def __init__(
-        self,
-        stages: Sequence[str] = DEFAULT_STAGES,
-        use_kernel: bool = True,
-    ) -> None:
+    def __init__(self, stages: Sequence[str] = DEFAULT_STAGES) -> None:
         unknown = [name for name in stages if name not in STAGE_REGISTRY]
         if unknown:
             raise KeyError(f"unknown reduction stage(s): {unknown}")
         self.stage_names = tuple(stages)
-        self.use_kernel = use_kernel
 
     def run(
         self,
@@ -132,7 +121,7 @@ class ReductionPipeline:
             stage = STAGE_REGISTRY[name]
             faults.maybe_fire("reduction.stage", stage=name, k=k)
             stage_coloring = coloring if index == 0 else None
-            result = stage(current, k, stage_coloring, use_kernel=self.use_kernel)
+            result = stage(current, k, stage_coloring)
             results.append(result)
             current = result.graph
             if current.num_vertices == 0:

@@ -16,10 +16,10 @@ The solver follows the paper's architecture:
 
 The fairness condition itself is pluggable: :meth:`MaxRFC.solve_model` takes
 any :class:`~repro.models.base.FairnessModel` (relative, weak, strong, or the
-multi-attribute weak generalisation) and both the dict and the kernel
-branch-and-bound consume only the model's quota/gap data — neither path
-branches on model names.  :meth:`MaxRFC.solve` remains the historic
-relative-model entry point.
+multi-attribute weak generalisation) and the kernel branch-and-bound
+(:class:`~repro.kernel.search.KernelBranchAndBound`) consumes only the
+model's quota/gap data — it never branches on model names.
+:meth:`MaxRFC.solve` remains the historic relative-model entry point.
 
 Implementation note: Algorithm 3 in the paper interleaves a strict
 attribute-alternation rule with the vertex-ordering filter; taken literally
@@ -38,13 +38,10 @@ import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 
 from repro.bounds.base import BoundStack
-from repro.cores.kcore import degeneracy
 from repro.exceptions import SearchError
-from repro.graph.attributed_graph import AttributedGraph, Vertex
-from repro.graph.components import connected_components
+from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.validation import validate_parameters
 from repro.models.base import ActiveModel, FairnessModel, RelativeFairness
 from repro.reduction.pipeline import DEFAULT_STAGES, PipelineResult, ReductionPipeline
@@ -81,12 +78,6 @@ class MaxRFCConfig:
         pruning, ``0`` disables bound evaluation entirely.
     ordering:
         Vertex-ordering strategy (CalColorOD by default).
-    use_kernel:
-        Branch over the compiled bitset/CSR kernel (:mod:`repro.kernel`)
-        instead of the dict adjacency.  Result-identical to the dict path —
-        same clique, same statistics counters — but candidate narrowing and
-        fairness accounting collapse to integer bit arithmetic.  Disable
-        only to measure the pre-kernel baseline.
     time_limit:
         Wall-clock budget in seconds (``None`` = unlimited).  When exceeded the
         search stops and the result is flagged non-optimal.
@@ -100,7 +91,6 @@ class MaxRFCConfig:
     use_heuristic: bool = False
     bound_depth: int = 2
     ordering: OrderingStrategy = OrderingStrategy.COLORFUL_CORE
-    use_kernel: bool = True
     time_limit: float | None = None
     branch_limit: int | None = None
     algorithm_name: str = field(default="MaxRFC")
@@ -210,10 +200,7 @@ class MaxRFC:
         if config.use_reduction:
             if reduction is None:
                 started = time.monotonic()
-                pipeline = ReductionPipeline(
-                    model.reduction_stages(config.reduction_stages),
-                    use_kernel=config.use_kernel,
-                )
+                pipeline = ReductionPipeline(model.reduction_stages(config.reduction_stages))
                 reduction = pipeline.run(graph, model.k)
                 stats.reduction_seconds = time.monotonic() - started
             stats.extra["reduction"] = [stage.summary() for stage in reduction.stages]
@@ -270,70 +257,28 @@ class MaxRFC:
         stats: SearchStats,
         deadline: Deadline,
     ) -> frozenset:
-        minimum_size = model.min_size
-        # Recursion can go as deep as the largest clique; give it headroom.
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), graph.num_vertices + 1000))
-        use_kernel = self.config.use_kernel
-        kernel = graph.compile() if (use_kernel and graph.num_vertices) else None
-        if kernel is not None:
-            return self._search_components_kernel(
-                graph, kernel, model, best, stats, deadline, minimum_size
-            )
-        # Search the most promising components first (highest degeneracy — the
-        # only place a big clique can hide), so the incumbent grows early and
-        # the remaining components are pruned cheaply.  Ties break on the
-        # smallest member id so the visit order (and therefore the reported
-        # optimum among equally-sized cliques) never depends on the insertion
-        # order of the graph being searched.
-        components = sorted(
-            connected_components(graph),
-            key=lambda component: (
-                -degeneracy(graph, component),
-                min(map(str, component)),
-            ),
-        )
-        lower = model.lower
-        domain = model.domain
-        code_of = model.code_of()
-        for component in components:
-            if len(component) < minimum_size or len(component) <= len(best):
-                continue
-            histogram = graph.attribute_histogram(component)
-            if any(
-                histogram.get(value, 0) < lower[index]
-                for index, value in enumerate(domain)
-            ):
-                continue
-            rank = compute_ordering(graph, component, self.config.ordering)
-            ordered = sorted(component, key=lambda v: rank[v])
-            best = self._branch(
-                graph, frozenset(), ordered, [0] * len(domain), model, code_of,
-                best, stats, deadline, depth=0,
-            )
-        return best
+        """Branch over every connected component of ``graph``, best first.
 
-    def _search_components_kernel(
-        self,
-        graph: AttributedGraph,
-        kernel,
-        model: ActiveModel,
-        best: frozenset,
-        stats: SearchStats,
-        deadline: Deadline,
-        minimum_size: int,
-    ) -> frozenset:
-        """Kernel fast path of the component loop (same visit order, same prunes).
-
-        Component discovery rides the adjacency bitsets, the degeneracy sort
-        reads the kernel's (canonical, per-component) core numbers, and the
-        per-attribute feasibility filter is an AND + popcount per component
-        and attribute value.
+        Components are searched in decreasing degeneracy (the only place a
+        big clique can hide), so the incumbent grows early and the remaining
+        components are pruned cheaply; ties break on the smallest member's
+        canonical key, so the visit order (and therefore the reported
+        optimum among equally-sized cliques) never depends on the insertion
+        order of the graph being searched.  Component discovery rides the
+        adjacency bitsets, the degeneracy sort reads the kernel's core
+        numbers, and the per-attribute feasibility filter is an AND +
+        popcount per component and attribute value.
         """
+        if not graph.num_vertices:
+            return best
         from repro.kernel.bitops import bits_list
         from repro.kernel.cores import colorful_core_order
         from repro.kernel.search import KernelBranchAndBound
         from repro.kernel.view import SubgraphView
 
+        # Recursion can go as deep as the largest clique; give it headroom.
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), graph.num_vertices + 1000))
+        kernel = graph.compile()
         cores = kernel.core_numbers()
         tie_keys = kernel.tie_keys
         entries = []
@@ -346,6 +291,7 @@ class MaxRFC:
                 members,
             ))
         entries.sort(key=lambda entry: entry[:2])
+        minimum_size = model.min_size
         lower = model.lower
         domain_masks = model.kernel_masks(kernel)
         has_budget = (
@@ -408,137 +354,6 @@ class MaxRFC:
         ):
             raise _TimeBudgetExceeded()
 
-    def _branch(
-        self,
-        graph: AttributedGraph,
-        clique: frozenset,
-        candidates: list[Vertex],
-        counts_r: list[int],
-        model: ActiveModel,
-        code_of: dict,
-        best: frozenset,
-        stats: SearchStats,
-        deadline: Deadline,
-        depth: int,
-    ) -> frozenset:
-        """Recursive branch step: ``clique`` is R, ``candidates`` is C sorted by rank.
-
-        ``counts_r`` holds the per-domain-value attribute counts of R and is
-        threaded through the recursion mutate-then-undo style instead of
-        being recounted per branch (the recount was an O(|R|) scan at every
-        node).  This is the pre-kernel fallback path — the kernel search in
-        :mod:`repro.kernel.search` replays exactly this decision procedure on
-        bitsets and is the default.
-        """
-        stats.branches_explored += 1
-        self._check_budget(stats, deadline)
-        lower = model.lower
-        gap = model.gap
-        num_values = len(lower)
-        minimum_size = model.min_size
-        attribute = graph.attribute
-        # Two-value domains keep the historic all-scalar arithmetic (an
-        # arity specialisation, mirrored in the kernel search; wider domains
-        # take the generic per-value loops with identical semantics).
-        binary = num_values == 2
-
-        # R itself is always a clique; record it whenever it is fair and larger.
-        if len(clique) > len(best):
-            if binary:
-                fair = (
-                    counts_r[0] >= lower[0]
-                    and counts_r[1] >= lower[1]
-                    and (gap is None or abs(counts_r[0] - counts_r[1]) <= gap)
-                )
-            else:
-                fair = all(
-                    counts_r[index] >= lower[index] for index in range(num_values)
-                )
-                if fair and gap is not None and abs(counts_r[0] - counts_r[1]) > gap:
-                    fair = False
-            if fair:
-                best = clique
-                self._incumbent = best
-                stats.solutions_found += 1
-                self._notify_improve(len(best), best)
-
-        if not candidates:
-            return best
-
-        target = max(minimum_size, len(best) + 1)
-        if len(clique) + len(candidates) < target:
-            stats.pruned_by_size += 1
-            return best
-
-        if binary:
-            value_0 = model.domain[0]
-            count_c_0 = sum(1 for v in candidates if attribute(v) == value_0)
-            count_c_1 = len(candidates) - count_c_0
-            if counts_r[0] + count_c_0 < lower[0] or counts_r[1] + count_c_1 < lower[1]:
-                stats.pruned_by_attribute_feasibility += 1
-                return best
-            if gap is not None and (
-                counts_r[0] > counts_r[1] + count_c_1 + gap
-                or counts_r[1] > counts_r[0] + count_c_0 + gap
-            ):
-                stats.pruned_by_fairness_gap += 1
-                return best
-        else:
-            counts_c = [0] * num_values
-            for vertex in candidates:
-                counts_c[code_of[attribute(vertex)]] += 1
-            if any(
-                counts_r[index] + counts_c[index] < lower[index]
-                for index in range(num_values)
-            ):
-                stats.pruned_by_attribute_feasibility += 1
-                return best
-            if gap is not None and (
-                counts_r[0] > counts_r[1] + counts_c[1] + gap
-                or counts_r[1] > counts_r[0] + counts_c[0] + gap
-            ):
-                stats.pruned_by_fairness_gap += 1
-                return best
-
-        stack = model.bound_stack
-        if stack is not None and depth < self.config.bound_depth:
-            stats.bound_evaluations += 1
-            context = model.bound_context(graph, clique, candidates)
-            if stack.prunes(context, max(minimum_size - 1, len(best))):
-                stats.pruned_by_bound += 1
-                return best
-
-        # At the root the candidates are iterated in *descending* rank order:
-        # high-rank vertices (large colorful core numbers, where the biggest
-        # fair cliques live) are explored first, so the incumbent becomes
-        # large quickly and the remaining low-rank roots are pruned cheaply.
-        # Deeper levels keep ascending order so the early-exit size argument
-        # below stays valid for the suffix that is yet to be explored.
-        positions = range(len(candidates))
-        if depth == 0:
-            positions = reversed(positions)
-        for index in positions:
-            vertex = candidates[index]
-            remaining = len(candidates) - index
-            if len(clique) + remaining < max(minimum_size, len(best) + 1):
-                stats.pruned_by_incumbent += 1
-                if depth == 0:
-                    continue
-                break
-            # One membership probe per suffix candidate against the (hoisted)
-            # neighbour set; islice avoids materialising a fresh suffix copy
-            # at every branch node.
-            contains = graph.neighbors(vertex).__contains__
-            new_candidates = list(filter(contains, islice(candidates, index + 1, None)))
-            code = code_of[attribute(vertex)]
-            counts_r[code] += 1
-            best = self._branch(
-                graph, clique | {vertex}, new_candidates, counts_r, model,
-                code_of, best, stats, deadline, depth + 1,
-            )
-            counts_r[code] -= 1
-        return best
-
 
 def build_search_config(
     bound_stack: BoundStack | str | None = "ubAD",
@@ -549,7 +364,6 @@ def build_search_config(
     branch_limit: int | None = None,
     bound_depth: int = 2,
     reduction_stages: Sequence[str] = DEFAULT_STAGES,
-    use_kernel: bool = True,
 ) -> MaxRFCConfig:
     """Build a :class:`MaxRFCConfig` from user-facing options.
 
@@ -572,7 +386,6 @@ def build_search_config(
         ordering=ordering,
         branch_limit=branch_limit,
         bound_depth=bound_depth,
-        use_kernel=use_kernel,
         algorithm_name="MaxRFC" if bound_stack is None else "MaxRFC+ub",
     )
     if use_heuristic and bound_stack is not None:

@@ -97,21 +97,19 @@ def find_maximum_multi_weak_fair_clique(
     graph: AttributedGraph,
     k: int,
     time_limit: float | None = None,
-    use_kernel: bool = True,
 ) -> MultiAttributeSearchResult:
     """Solve the multi-attribute weak model through the unified solver stack.
 
     Runs :class:`~repro.search.maxrfc.MaxRFC` with a
     :class:`~repro.models.base.MultiWeakFairness` model — model-sound
     reduction (the d-ary colorful core), the attribute-free bound stack, the
-    round-robin greedy seed, and the kernel branch-and-bound by default
-    (``use_kernel=False`` selects the dict reference path, result-identical).
+    round-robin greedy seed, and the kernel branch-and-bound.
     """
     _validate_k(k)
     from repro.models.base import MultiWeakFairness
     from repro.search.maxrfc import MaxRFC, build_search_config
 
-    config = build_search_config(time_limit=time_limit, use_kernel=use_kernel)
+    config = build_search_config(time_limit=time_limit)
     result = MaxRFC(config).solve_model(graph, MultiWeakFairness(k))
     return MultiAttributeSearchResult(
         clique=result.clique, k=k, stats=result.stats, optimal=result.optimal,

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.api.query import FairCliqueQuery
+from repro.baselines.bron_kerbosch import enumerate_maximal_cliques_reference
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import complete_graph, from_edge_list, paper_example_graph
 from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.search.verification import best_fair_subset
 
 
 @pytest.fixture
@@ -48,3 +52,71 @@ def community_fixture() -> AttributedGraph:
 def rng() -> random.Random:
     """A seeded random generator for tests that need extra randomness."""
     return random.Random(12345)
+
+
+class FairCliqueOracle:
+    """Kernel-free ground truth for exact fair-clique solves.
+
+    Every fair clique lies inside some maximal clique, and every subset of a
+    clique is a clique, so the optimum is the best fair subset over the
+    maximal cliques.  Those come from the set-based Bron–Kerbosch reference
+    enumerator; the best fair subset is
+    :func:`~repro.search.verification.best_fair_subset` under the model's
+    binary ``delta`` (:meth:`FairCliqueQuery.effective_delta`), or, for
+    ``multi_weak``, the whole maximal clique when it meets every per-value
+    quota.  Nothing here touches :mod:`repro.kernel`, so a kernel bug cannot
+    hide in the reference.
+    """
+
+    @staticmethod
+    def size(graph: AttributedGraph, model: str, k: int, delta: int | None = None) -> int:
+        """Size of a maximum fair clique of ``graph`` (0 when none exists)."""
+        values = graph.attribute_values()
+        best = 0
+        if model == "multi_weak":
+            for clique in enumerate_maximal_cliques_reference(graph):
+                counts = Counter(graph.attribute(v) for v in clique)
+                if all(counts[value] >= k for value in values):
+                    best = max(best, len(clique))
+            return best
+        if len(values) != 2:
+            return 0
+        gap = FairCliqueQuery(model=model, k=k, delta=delta).effective_delta(graph)
+        for clique in enumerate_maximal_cliques_reference(graph):
+            best = max(best, len(best_fair_subset(graph, clique, k, gap)))
+        return best
+
+    @staticmethod
+    def is_fair_clique(graph: AttributedGraph, clique, model: str, k: int,
+                       delta: int | None = None) -> bool:
+        """Whether ``clique`` is a clique of ``graph`` meeting the model's condition."""
+        if not all(graph.has_vertex(v) for v in clique) or not graph.is_clique(clique):
+            return False
+        values = graph.attribute_values()
+        counts = Counter(graph.attribute(v) for v in clique)
+        if any(counts[value] < k for value in values):
+            return False
+        if model == "multi_weak":
+            return True
+        gap = FairCliqueQuery(model=model, k=k, delta=delta).effective_delta(graph)
+        return len(values) == 2 and abs(counts[values[0]] - counts[values[1]]) <= gap
+
+    def check(self, graph: AttributedGraph, result, model: str, k: int,
+              delta: int | None = None, label: str = "") -> None:
+        """Assert ``result`` (a report or search result) is an optimal answer."""
+        expected = self.size(graph, model, k, delta)
+        where = f"{label} model={model} k={k} delta={delta}"
+        assert result.optimal, f"not optimal: {where}"
+        assert len(result.clique) == expected, (
+            f"size {len(result.clique)} != oracle {expected}: {where}"
+        )
+        if expected:
+            assert self.is_fair_clique(graph, result.clique, model, k, delta), (
+                f"not a fair clique {sorted(result.clique, key=str)}: {where}"
+            )
+
+
+@pytest.fixture
+def oracle() -> FairCliqueOracle:
+    """The kernel-free maximum-fair-clique oracle (see :class:`FairCliqueOracle`)."""
+    return FairCliqueOracle()

@@ -2,8 +2,8 @@
 
 Covers the acceptance grid of the session PR: ``task="enumerate"`` against
 the Bron–Kerbosch oracle, ``stream()``'s final incumbent against ``solve()``
-for every model serially and with 2 workers, session artifact reuse, the
-query-hash regression, and the deprecation shims.
+for every model serially and with 2 workers, session artifact reuse, and
+the query-hash regression.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    BatchExecutor,
     EngineRegistry,
     FairCliqueQuery,
     FairCliqueSession,
-    SolveContext,
     UnsupportedQueryError,
     query_grid,
     solve,
@@ -182,7 +180,7 @@ class TestTaskValidation:
         graph = paper_example_graph()
         with pytest.raises(UnsupportedQueryError, match="no engine options"):
             solve(graph, FairCliqueQuery(model="weak", k=2, task="enumerate",
-                                         options={"use_kernel": False}))
+                                         options={"use_heuristic": False}))
         with pytest.raises(UnsupportedQueryError, match="time_limit"):
             solve(graph, FairCliqueQuery(model="weak", k=2, task="enumerate",
                                          time_limit=5.0))
@@ -448,35 +446,3 @@ class TestExplain:
         assert as_dict["engine"] == "exact" and as_dict["task"] == "maximum"
         text = plan.summary()
         assert "EnColorfulCore" in text and "relative" in text
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims
-# --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_solve_context_warns_but_works(self):
-        graph = paper_example_graph()
-        with pytest.warns(DeprecationWarning, match="FairCliqueSession"):
-            context = SolveContext(graph)
-        report = solve(graph, _query("relative"), context=context)
-        assert report.size == 7
-        assert context.reduction_cache_size == 1
-
-    def test_batch_executor_warns_but_works(self):
-        graph = paper_example_graph()
-        with pytest.warns(DeprecationWarning, match="FairCliqueSession"):
-            executor = BatchExecutor(graph, max_workers=2)
-        with executor:
-            reports = solve_many(graph, query_grid(deltas=(0, 1)), executor=executor)
-        assert [report.size for report in reports] == [6, 7]
-
-    def test_internal_paths_do_not_warn(self, recwarn):
-        graph = _multi_component_graph()
-        with FairCliqueSession(graph) as session:
-            session.solve(model="relative", k=2, delta=1)
-            session.solve_many(query_grid(deltas=(0, 1)), max_workers=2)
-        deprecations = [
-            warning for warning in recwarn.list
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert deprecations == []

@@ -6,7 +6,8 @@ whole search/reduction/bound stack above the kernel must produce *exactly*
 the same cliques, survivors, bound values, and search counters no matter
 which backend compiled the graph.  This suite pins that claim across all
 four fairness models, serially and through the 2-worker parallel executor,
-with the dict (``use_kernel=False``) path as the independent oracle.
+with the kernel-free fair-clique oracle (``tests/conftest.py``) as the
+independent reference.
 """
 
 from __future__ import annotations
@@ -93,9 +94,7 @@ class TestSerialSearchMatrix:
         results = {}
         for backend in BACKENDS:
             monkeypatch.setenv(ENV_VAR, backend)
-            results[backend] = MaxRFC(
-                build_search_config(use_kernel=True)
-            ).solve(graph, k, delta)
+            results[backend] = MaxRFC(build_search_config()).solve(graph, k, delta)
         reference = results["int"]
         for backend, result in results.items():
             assert result.clique == reference.clique, backend
@@ -103,23 +102,14 @@ class TestSerialSearchMatrix:
             assert_valid_result(graph, result)
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_dict_oracle_agrees(self, model, monkeypatch):
-        """Every backend also matches the kernel-free reference path."""
+    def test_oracle_agrees(self, model, monkeypatch, oracle):
+        """Every backend also matches the kernel-free oracle."""
         graph = _graphs()[0]
-        oracle = solve(
-            graph,
-            FairCliqueQuery(
-                model=model,
-                k=2,
-                delta=1 if model == "relative" else None,
-                options={"use_kernel": False},
-            ),
-        )
+        query = _query(model)
         for backend in BACKENDS:
             monkeypatch.setenv(ENV_VAR, backend)
-            report = solve(graph, _query(model))
-            assert report.clique == oracle.clique, backend
-            assert report.size == oracle.size, backend
+            oracle.check(graph, solve(graph, query), model, query.k, query.delta,
+                         label=backend)
 
 
 class TestParallelSearchMatrix:

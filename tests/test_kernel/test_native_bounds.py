@@ -19,6 +19,7 @@ from repro.bounds.stacks import ALL_BOUNDS, get_stack, stack_names
 from repro.graph.builders import paper_example_graph
 from repro.graph.components import connected_components
 from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.kernel.backend import ENV_VAR, available_backends
 from repro.kernel.bounds import KERNEL_BOUNDS, evaluate_bound, stack_evaluate
 from repro.kernel.view import SubgraphView
 from repro.search.maxrfc import MaxRFC, build_search_config
@@ -126,29 +127,30 @@ def test_custom_bound_still_uses_dict_fallback():
 
 @pytest.mark.parametrize("stack_name", ["ubAD+ubcd", "ubAD+ubch", "ubAD+ubcp",
                                         "ubAD+ub_deg", "ubAD+ub_h"])
-def test_search_counter_parity_with_colorful_stacks(stack_name):
-    """Kernel vs dict search: same clique AND same counters for every stack.
+def test_search_counter_parity_with_colorful_stacks(stack_name, oracle, monkeypatch):
+    """Every backend: same clique AND same counters, and the clique is optimal.
 
-    This is the end-to-end pin: since the ablation stacks now run natively,
-    the kernel search must still take exactly the dict search's decisions.
+    This is the end-to-end pin for the ablation stacks, which run natively:
+    the storage backend must not change a single decision, and the answer
+    must match the kernel-free oracle.
     """
     graphs = [
         paper_example_graph(),
         erdos_renyi_graph(26, 0.35, seed=3),
         community_graph(2, 12, intra_probability=0.6, inter_edges=1, seed=8),
     ]
+    config = build_search_config(bound_stack=stack_name, use_heuristic=False)
     for graph in graphs:
         fingerprints = {}
-        for label, use_kernel in (("kernel", True), ("dict", False)):
-            config = build_search_config(
-                bound_stack=stack_name, use_kernel=use_kernel, use_heuristic=False
-            )
+        for backend in available_backends():
+            monkeypatch.setenv(ENV_VAR, backend)
             result = MaxRFC(config).solve(graph, 2, 1)
-            fingerprints[label] = (
+            fingerprints[backend] = (
                 result.clique,
                 result.stats.branches_explored,
                 result.stats.pruned_by_bound,
                 result.stats.bound_evaluations,
                 result.stats.solutions_found,
             )
-        assert fingerprints["kernel"] == fingerprints["dict"], stack_name
+        assert len(set(fingerprints.values())) == 1, (stack_name, fingerprints)
+        oracle.check(graph, result, "relative", 2, 1, label=stack_name)

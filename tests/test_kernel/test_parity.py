@@ -1,10 +1,11 @@
-"""Kernel <-> dict parity: the compiled-kernel fast paths must be
-result-identical to the reference implementations they replaced.
+"""Kernel paths against the reference implementations and the oracle.
 
-The suite randomises over graphs and parameters and asserts *exact*
-agreement — same cliques (not just sizes), same statistics counters, same
-reduction survivors, same bound values, same maximal-clique sets — across
-all four fairness models (relative / weak / strong / multi_weak)."""
+Exact searches are checked against the kernel-free fair-clique oracle
+(``tests/conftest.py``): same optimum size, a valid fair clique, and
+``optimal``.  The reduction stages are checked against the reference cores
+(:func:`colorful_k_core` / :func:`enhanced_colorful_k_core`) and against a
+from-definition support fixpoint; colorings, bound values, maximal-clique
+sets and the heuristic growth loop against their set-based references."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from repro.baselines.bron_kerbosch import (
 from repro.bounds.base import make_context
 from repro.bounds.stacks import get_stack, stack_names
 from repro.coloring.greedy import greedy_coloring
+from repro.cores.colorful import colorful_k_core
+from repro.cores.enhanced import enhanced_colorful_k_core
 from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.heuristic.greedy_core import (
     greedy_grow_clique,
@@ -28,13 +31,20 @@ from repro.heuristic.greedy_core import (
 from repro.heuristic.heur_rfc import HeurRFC
 from repro.kernel import SubgraphView, array_to_coloring, greedy_color_array
 from repro.kernel.bounds import stack_evaluate
-from repro.reduction.colorful_support import colorful_support_reduction
+from repro.reduction.colorful_support import (
+    colorful_support_reduction,
+    colorful_supports,
+    support_thresholds,
+)
 from repro.reduction.core_reduction import (
     colorful_core_reduction,
     enhanced_colorful_core_reduction,
 )
-from repro.reduction.enhanced_support import enhanced_colorful_support_reduction
-from repro.search.maxrfc import MaxRFC, assert_valid_result, build_search_config
+from repro.reduction.enhanced_support import (
+    enhanced_colorful_support_reduction,
+    enhanced_colorful_supports,
+)
+from repro.search.maxrfc import MaxRFC, MaxRFCConfig, assert_valid_result, build_search_config
 
 
 def graph_grid():
@@ -74,123 +84,124 @@ class TestColoringParity:
             assert got == expected
 
 
-class TestSearchParity:
+class TestSearchAgainstOracle:
     @pytest.mark.parametrize("graph_index", range(6))
     @pytest.mark.parametrize("k,delta", [(2, 0), (2, 1), (3, 1), (3, 2)])
-    def test_relative_model_identical_clique_and_stats(self, graph_index, k, delta):
+    def test_relative_model(self, graph_index, k, delta, oracle):
         graph = graph_grid()[graph_index]
-        kernel_result = MaxRFC(build_search_config(use_kernel=True)).solve(graph, k, delta)
-        dict_result = MaxRFC(build_search_config(use_kernel=False)).solve(graph, k, delta)
-        assert kernel_result.clique == dict_result.clique
-        for field in (
-            "branches_explored",
-            "solutions_found",
-            "pruned_by_size",
-            "pruned_by_attribute_feasibility",
-            "pruned_by_fairness_gap",
-            "pruned_by_bound",
-            "pruned_by_incumbent",
-            "bound_evaluations",
-        ):
-            assert getattr(kernel_result.stats, field) == getattr(dict_result.stats, field), field
-        assert_valid_result(graph, kernel_result)
+        result = MaxRFC(build_search_config()).solve(graph, k, delta)
+        oracle.check(graph, result, "relative", k, delta, label=f"graph {graph_index}")
+        assert_valid_result(graph, result)
 
     @pytest.mark.parametrize("graph_index", range(4))
     @pytest.mark.parametrize("model", ["relative", "weak", "strong"])
-    def test_binary_models_through_the_api(self, graph_index, model):
+    def test_binary_models_through_the_api(self, graph_index, model, oracle):
         graph = graph_grid()[graph_index]
         delta = 1 if model == "relative" else None
-        with_kernel = solve(
-            graph,
-            FairCliqueQuery(model=model, k=2, delta=delta, options={"use_kernel": True}),
-        )
-        without_kernel = solve(
-            graph,
-            FairCliqueQuery(model=model, k=2, delta=delta, options={"use_kernel": False}),
-        )
-        assert with_kernel.clique == without_kernel.clique
-        assert with_kernel.size == without_kernel.size
+        report = solve(graph, FairCliqueQuery(model=model, k=2, delta=delta))
+        oracle.check(graph, report, model, 2, delta, label=f"graph {graph_index}")
 
     @pytest.mark.parametrize("graph_index", range(3))
-    def test_multi_weak_model_against_brute_force(self, graph_index):
-        # The multi-attribute solver does not branch over the kernel (yet);
-        # pin its results against the independent brute-force oracle so the
-        # four-model parity claim stays verified end to end.
+    def test_multi_weak_model_against_brute_force(self, graph_index, oracle):
+        # The brute-force engine enumerates on the kernel; the oracle does
+        # not, so the two pin the multi-attribute search independently.
         graph = graph_grid()[graph_index]
         exact = solve(graph, FairCliqueQuery(model="multi_weak", k=2))
         brute = solve(graph, FairCliqueQuery(model="multi_weak", k=2, engine="brute_force"))
         assert exact.size == brute.size
+        oracle.check(graph, exact, "multi_weak", 2, label=f"graph {graph_index}")
 
     @pytest.mark.parametrize("stack_name", sorted(stack_names()))
-    def test_every_bound_stack_config_is_parity_safe(self, stack_name):
+    def test_every_bound_stack_config(self, stack_name, oracle):
         # ubAD runs fully on the kernel; the ablation stacks exercise the
-        # dict fallback inside the kernel search.
+        # other native kernel bounds.
         graph = erdos_renyi_graph(30, 0.4, seed=6)
-        kernel_result = MaxRFC(
-            build_search_config(bound_stack=stack_name, use_kernel=True)
-        ).solve(graph, 2, 1)
-        dict_result = MaxRFC(
-            build_search_config(bound_stack=stack_name, use_kernel=False)
-        ).solve(graph, 2, 1)
-        assert kernel_result.clique == dict_result.clique
-        assert kernel_result.stats.pruned_by_bound == dict_result.stats.pruned_by_bound
+        result = MaxRFC(build_search_config(bound_stack=stack_name)).solve(graph, 2, 1)
+        oracle.check(graph, result, "relative", 2, 1, label=stack_name)
 
-    @pytest.mark.parametrize("use_kernel", [True, False])
-    def test_budget_abort_keeps_incumbent(self, use_kernel):
+    def test_budget_abort_keeps_incumbent(self):
         # A branch-limit abort must return the best clique found so far, not
         # discard it (regression: the abort exception used to unwind past the
         # incumbent).
         graph = community_graph(6, 60, intra_probability=0.4, inter_edges=3, seed=8)
-        from repro.search.maxrfc import MaxRFC, MaxRFCConfig
-
-        config = MaxRFCConfig(use_heuristic=False, branch_limit=200, use_kernel=use_kernel)
+        config = MaxRFCConfig(use_heuristic=False, branch_limit=200)
         result = MaxRFC(config).solve(graph, 2, 1)
         assert not result.optimal
         if result.stats.solutions_found:
             assert result.found
             assert graph.is_clique(result.clique)
 
-    def test_no_reduction_no_heuristic_still_parity(self):
+    def test_no_reduction_no_heuristic(self, oracle):
         graph = community_graph(2, 9, intra_probability=0.85, inter_edges=1, seed=8)
         for use_heuristic in (False, True):
-            kernel_result = MaxRFC(
+            result = MaxRFC(
                 build_search_config(
-                    bound_stack=None, use_reduction=False,
-                    use_heuristic=use_heuristic, use_kernel=True,
+                    bound_stack=None, use_reduction=False, use_heuristic=use_heuristic,
                 )
             ).solve(graph, 2, 1)
-            dict_result = MaxRFC(
-                build_search_config(
-                    bound_stack=None, use_reduction=False,
-                    use_heuristic=use_heuristic, use_kernel=False,
-                )
-            ).solve(graph, 2, 1)
-            assert kernel_result.clique == dict_result.clique
-            assert (
-                kernel_result.stats.branches_explored
-                == dict_result.stats.branches_explored
+            oracle.check(graph, result, "relative", 2, 1, label=f"heuristic={use_heuristic}")
+
+
+def support_fixpoint(graph, k, enhanced):
+    """The Lemma 3 / Lemma 4 subgraph straight from the definitions.
+
+    Supports are recomputed from scratch under one fixed coloring of the
+    input, every violating edge is dropped, and the round repeats until no
+    edge violates; isolated vertices go last.  Returns ``(graph, peeled)``.
+    """
+    coloring = greedy_coloring(graph)
+    attribute_a, attribute_b = graph.attribute_pair()
+    working = graph.copy()
+    while True:
+        if enhanced:
+            supports = enhanced_colorful_supports(working, k, coloring)
+        else:
+            supports = {
+                key: (support[attribute_a], support[attribute_b])
+                for key, support in colorful_supports(working, coloring).items()
+            }
+        violating = []
+        for (u, v), (support_a, support_b) in supports.items():
+            need_a, need_b = support_thresholds(
+                working.attribute(u), working.attribute(v), attribute_a, k
             )
+            if support_a < need_a or support_b < need_b:
+                violating.append((u, v))
+        if not violating:
+            break
+        for u, v in violating:
+            working.remove_edge(u, v)
+    survivors = [v for v in working.vertices() if working.degree(v) > 0]
+    return working.subgraph(survivors), graph.num_edges - working.num_edges
 
 
-class TestReductionParity:
-    STAGES = [
-        colorful_core_reduction,
-        enhanced_colorful_core_reduction,
-        colorful_support_reduction,
-        enhanced_colorful_support_reduction,
-    ]
+class TestReductionAgainstReferences:
+    @pytest.mark.parametrize("graph_index", range(6))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_core_stages_match_reference_cores(self, graph_index, k):
+        graph = graph_grid()[graph_index]
+        for stage, core in (
+            (colorful_core_reduction, colorful_k_core),
+            (enhanced_colorful_core_reduction, enhanced_colorful_k_core),
+        ):
+            expected = graph.subgraph(core(graph, k - 1, greedy_coloring(graph)))
+            got = stage(graph, k)
+            assert graph_signature(got.graph) == graph_signature(expected), stage
+            assert got.vertices_after == expected.num_vertices
+            assert got.edges_after == expected.num_edges
 
     @pytest.mark.parametrize("graph_index", range(6))
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_identical_survivors(self, graph_index, k):
+    def test_support_stages_match_the_definition_fixpoint(self, graph_index, k):
         graph = graph_grid()[graph_index]
-        for stage in self.STAGES:
-            via_kernel = stage(graph, k)
-            via_dict = stage(graph, k, use_kernel=False)
-            assert graph_signature(via_kernel.graph) == graph_signature(via_dict.graph), stage
-            assert via_kernel.vertices_after == via_dict.vertices_after
-            assert via_kernel.edges_after == via_dict.edges_after
-            assert via_kernel.extra.get("edges_peeled") == via_dict.extra.get("edges_peeled")
+        for stage, enhanced in (
+            (colorful_support_reduction, False),
+            (enhanced_colorful_support_reduction, True),
+        ):
+            expected, peeled = support_fixpoint(graph, k, enhanced)
+            got = stage(graph, k)
+            assert graph_signature(got.graph) == graph_signature(expected), stage
+            assert got.extra["edges_peeled"] == peeled, stage
 
 
 class TestBoundParity:

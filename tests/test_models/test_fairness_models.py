@@ -1,12 +1,12 @@
-"""The FairnessModel layer: model semantics, dict<->kernel parity for
-``multi_weak`` across attribute-domain sizes, and parallel size parity for
+"""The FairnessModel layer: model semantics, ``multi_weak`` against the
+references across attribute-domain sizes, and parallel size parity for
 every model.
 
 The headline guarantees pinned here:
 
-* the kernel and dict search paths make *identical* decisions for the
-  multi-attribute weak model — same cliques, same reduction survivors, same
-  statistics counters — over domains of size 2, 3, and 5;
+* the multi-attribute weak search returns the kernel-free oracle's optimum,
+  and its ColorfulCore reduction keeps exactly the reference colorful core,
+  over domains of size 2, 3, and 5;
 * ``workers = 1/2/4`` returns the serial optimum size for all four models,
   including ``multi_weak`` (which had no parallel path before the model
   layer existed);
@@ -21,6 +21,8 @@ import random
 import pytest
 
 from repro.api import FairCliqueQuery, solve
+from repro.coloring.greedy import greedy_coloring
+from repro.cores.colorful import colorful_k_core
 from repro.exceptions import InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.generators import community_graph, erdos_renyi_graph
@@ -39,18 +41,6 @@ from repro.variants.multi_attribute import (
     brute_force_maximum_multi_weak_fair_clique,
     is_multi_attribute_weak_fair_clique,
 )
-
-COUNTER_FIELDS = (
-    "branches_explored",
-    "solutions_found",
-    "pruned_by_size",
-    "pruned_by_attribute_feasibility",
-    "pruned_by_fairness_gap",
-    "pruned_by_incumbent",
-    "pruned_by_bound",
-    "bound_evaluations",
-)
-
 
 def graph_with_domain(n: int, p: float, seed: int, num_values: int) -> AttributedGraph:
     """An Erdős–Rényi graph whose attributes cycle through ``num_values`` values."""
@@ -179,32 +169,25 @@ class TestModelObjects:
         assert result.size == best
 
 
-class TestMultiWeakDictKernelParity:
-    """Same cliques, survivors, and counters on 2/3/5-valued domains."""
+class TestMultiWeakAgainstReferences:
+    """Optimum and ColorfulCore survivors on 2/3/5-valued domains."""
 
     @pytest.mark.parametrize("num_values", [2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_search_parity_cliques_and_counters(self, num_values, seed):
+    def test_search_matches_oracle(self, num_values, seed, oracle):
         graph = graph_with_domain(26, 0.5, seed, num_values)
-        model = MultiWeakFairness(1 if num_values == 5 else 2)
-        kernel_result = MaxRFC(build_search_config(use_kernel=True)).solve_model(graph, model)
-        dict_result = MaxRFC(build_search_config(use_kernel=False)).solve_model(graph, model)
-        assert kernel_result.clique == dict_result.clique
-        for field in COUNTER_FIELDS:
-            assert getattr(kernel_result.stats, field) == getattr(
-                dict_result.stats, field
-            ), field
+        k = 1 if num_values == 5 else 2
+        result = MaxRFC(build_search_config()).solve_model(graph, MultiWeakFairness(k))
+        oracle.check(graph, result, "multi_weak", k, label=f"seed={seed}")
 
     @pytest.mark.parametrize("num_values", [2, 3, 5])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_reduction_survivor_parity(self, num_values, k):
+    def test_reduction_survivors_match_reference_core(self, num_values, k):
         graph = graph_with_domain(30, 0.4, 11, num_values)
-        via_kernel = colorful_core_reduction(graph, k)
-        via_dict = colorful_core_reduction(graph, k, use_kernel=False)
-        assert sorted(map(str, via_kernel.graph.vertices())) == sorted(
-            map(str, via_dict.graph.vertices())
-        )
-        assert via_kernel.edges_after == via_dict.edges_after
+        reduced = colorful_core_reduction(graph, k).graph
+        expected = graph.subgraph(colorful_k_core(graph, k - 1, greedy_coloring(graph)))
+        assert sorted(map(str, reduced.vertices())) == sorted(map(str, expected.vertices()))
+        assert reduced.num_edges == expected.num_edges
 
     @pytest.mark.parametrize("num_values", [2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])

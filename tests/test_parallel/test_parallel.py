@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BatchExecutor, FairCliqueQuery, query_grid, solve, solve_many
+from repro.api import FairCliqueQuery, query_grid, solve, solve_many
+from repro.api.batch import BatchExecutor, _check_executor
 from repro.exceptions import InvalidParameterError
 from repro.graph.builders import complete_graph, from_edge_list, paper_example_graph
 from repro.graph.generators import (
@@ -269,11 +270,6 @@ class TestRunRootBranch:
 
 
 class TestConfiguration:
-    def test_parallel_requires_kernel(self):
-        with pytest.raises(InvalidParameterError):
-            ParallelMaxRFC(build_search_config(use_kernel=False),
-                           ParallelConfig(workers=2))
-
     def test_workers_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             FairCliqueQuery(model="relative", k=2, delta=1, workers=0)
@@ -300,46 +296,19 @@ class TestConfiguration:
 
 
 class TestBatchExecutor:
-    """The legacy executor surface: deprecated but kept working.
+    """The batch pool behind ``solve_many(..., max_workers=N)``."""
 
-    New code reuses pools through ``FairCliqueSession.solve_many`` (see
-    ``tests/test_api/test_session.py``); these tests pin that the old
-    construction still functions and warns.
-    """
-
-    @staticmethod
-    def _legacy_executor(graph, max_workers):
-        with pytest.warns(DeprecationWarning, match="FairCliqueSession"):
-            return BatchExecutor(graph, max_workers=max_workers)
-
-    def test_executor_reuse_across_solve_many_calls(self):
+    def test_pool_refuses_a_foreign_or_mutated_graph(self):
+        """Workers hold the graph pickled at pool creation: a session must
+        never hand its pool a different or since-mutated graph."""
         graph = _multi_component_graph()
-        expected = [report.size for report in
-                    solve_many(graph, query_grid(deltas=(0, 1, 2)))]
-        with self._legacy_executor(graph, 2) as executor:
-            first = solve_many(graph, query_grid(deltas=(0, 1, 2)),
-                               executor=executor)
-            second = solve_many(graph, query_grid(deltas=(0, 1, 2)),
-                                executor=executor)
-        assert [report.size for report in first] == expected
-        assert [report.size for report in second] == expected
-
-    def test_executor_rejects_mutated_graph(self):
-        """Workers hold the graph pickled at pool creation — mutating the
-        coordinator's copy afterwards must fail loudly, not answer stale."""
-        graph = _multi_component_graph()
-        with self._legacy_executor(graph, 2) as executor:
-            solve_many(graph, query_grid(deltas=(1,)), executor=executor)
+        with BatchExecutor(graph, max_workers=2) as executor:
+            _check_executor(graph, executor)
+            with pytest.raises(InvalidParameterError, match="different graph"):
+                _check_executor(paper_example_graph(), executor)
             graph.add_vertex("late", "a")
-            with pytest.raises(InvalidParameterError):
-                solve_many(graph, query_grid(deltas=(1,)), executor=executor)
-
-    def test_executor_rejects_foreign_graph(self):
-        graph = _multi_component_graph()
-        other = paper_example_graph()
-        with self._legacy_executor(graph, 2) as executor:
-            with pytest.raises(InvalidParameterError):
-                solve_many(other, query_grid(deltas=(1,)), executor=executor)
+            with pytest.raises(InvalidParameterError, match="mutated"):
+                _check_executor(graph, executor)
 
     def test_unshared_reduction_still_correct_through_initializer(self):
         graph = _multi_component_graph()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.enumeration import brute_force_maximum_fair_clique
 from repro.coloring.greedy import greedy_coloring
+from repro.exceptions import AttributeCountError
 from repro.graph.builders import complete_graph, from_edge_list
 from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.reduction.colorful_support import (
@@ -172,7 +173,7 @@ class TestEnhancedSupport:
 class TestInvalidInput:
     def test_rejects_single_attribute_graph(self):
         graph = complete_graph({i: "a" for i in range(4)})
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeCountError):
             colorful_support_reduction(graph, 2)
 
     def test_rejects_bad_k(self, balanced_clique):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.enumeration import brute_force_maximum_fair_clique
-from repro.graph.builders import from_edge_list
+from repro.exceptions import AttributeCountError
+from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.builders import complete_graph, from_edge_list
 from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.reduction.core_reduction import (
     colorful_core_reduction,
@@ -16,6 +18,7 @@ from repro.reduction.core_reduction import (
 )
 from repro.reduction.pipeline import (
     DEFAULT_STAGES,
+    STAGE_REGISTRY,
     PipelineResult,
     ReductionPipeline,
     reduce_graph,
@@ -63,6 +66,26 @@ class TestCoreReductions:
                 else 0
             )
             assert surviving == optimum
+
+
+class TestAttributeDomainEdges:
+    """The binary-only stages refuse other domains; the incremental refresh
+    relies on the :class:`AttributeCountError` to fall back to a pass-through."""
+
+    #: Per-vertex attributes of a complete graph on each domain.
+    DOMAINS = {"empty": "", "one-valued": "aaaaaa", "three-valued": "abcabc"}
+
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    @pytest.mark.parametrize("stage", ["EnColorfulCore", "ColorfulSup", "EnColorfulSup"])
+    def test_binary_stages_raise(self, stage, domain):
+        graph = complete_graph(dict(enumerate(self.DOMAINS[domain])))
+        with pytest.raises(AttributeCountError):
+            STAGE_REGISTRY[stage](graph, 2)
+
+    def test_colorful_core_on_empty_graph_is_empty(self):
+        result = colorful_core_reduction(AttributedGraph(), 3)
+        assert result.graph.num_vertices == 0
+        assert (result.vertices_before, result.edges_before) == (0, 0)
 
 
 class TestPipeline:

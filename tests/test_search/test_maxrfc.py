@@ -11,6 +11,7 @@ from repro.baselines.enumeration import brute_force_maximum_fair_clique
 from repro.bounds.stacks import get_stack, stack_names
 from repro.graph.builders import complete_graph, from_edge_list, planted_fair_clique_graph
 from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.reduction.pipeline import reduce_graph
 from repro.search.maxrfc import (
     MaxRFC,
     MaxRFCConfig,
@@ -60,6 +61,19 @@ class TestEdgeCases:
         graph = complete_graph({i: "a" for i in range(6)})
         result = find_maximum_fair_clique(graph, 2, 1)
         assert result.size == 0
+
+    def test_reduction_that_empties_the_graph(self):
+        # A path has no triangle, so the k=3 stages peel every vertex: the
+        # search answers the empty clique, or passes the caller's warm start
+        # through untouched, and either answer is optimal.
+        graph = from_edge_list([(1, 2), (2, 3), (3, 4)], {1: "a", 2: "b", 3: "a", 4: "b"})
+        assert reduce_graph(graph, 3).vertices_after == 0
+        solver = MaxRFC(MaxRFCConfig())
+        result = solver.solve(graph, 3, 1)
+        assert result.clique == frozenset() and result.optimal
+        solver.initial_incumbent = frozenset({1, 2})
+        result = solver.solve(graph, 3, 1)
+        assert result.clique == frozenset({1, 2}) and result.optimal
 
     def test_exact_minimum_size_clique(self):
         graph = complete_graph({0: "a", 1: "a", 2: "b", 3: "b"})

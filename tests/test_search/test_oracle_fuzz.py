@@ -1,0 +1,131 @@
+"""Differential fuzz: exact solves against a kernel-free oracle.
+
+Each case draws a small random graph (n = 5–18) and a random exact-engine
+query — fairness model, ``k``, ``delta``, bound stack (or none), a random
+subset and order of the reduction stages, the ``use_reduction`` /
+``use_heuristic`` switches — and runs it on one of the available kernel
+backends.  The answer must be optimal, a valid fair clique, and exactly as
+large as the :class:`FairCliqueOracle` answer (set-based Bron–Kerbosch plus
+the best fair subset of every maximal clique; see ``tests/conftest.py``).
+A few cases run on two workers, and a set of mutation sequences checks warm
+re-solves after ``graph.mutate()`` → ``session.refresh()``.
+
+Every failure message names the case seed and the query, so
+``random_case(seed)`` rebuilds the failing input.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.api import FairCliqueQuery, FairCliqueSession, solve
+from repro.bounds.stacks import stack_names
+from repro.graph.attributed_graph import AttributedGraph
+from repro.kernel.backend import ENV_VAR, available_backends
+from repro.models.base import BINARY_STAGES, MULTI_STAGES
+
+MODELS = ("relative", "weak", "strong", "multi_weak")
+#: Every stage is sound for the binary models; multi_weak has one.
+BINARY_STAGE_POOL = ("ColorfulCore",) + BINARY_STAGES
+STACKS = (None,) + tuple(sorted(stack_names()))
+BACKENDS = tuple(available_backends())
+
+CHUNKS = 8
+CASES_PER_CHUNK = 128
+PARALLEL_CASES = 8
+MUTATION_SEQUENCES = 20
+MUTATION_STEPS = 3
+
+
+def random_graph(rng: random.Random, values: str) -> AttributedGraph:
+    n = rng.randint(5, 18)
+    density = rng.uniform(0.4, 0.95)
+    graph = AttributedGraph()
+    for vertex in range(n):
+        graph.add_vertex(vertex, rng.choice(values))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                graph.add_edge(u, v)
+    return graph
+
+
+def random_case(seed: int, workers: int | None = None):
+    """``(graph, query, backend)`` of one fuzz case, fully determined by ``seed``."""
+    rng = random.Random(seed)
+    model = rng.choice(MODELS)
+    if model == "multi_weak":
+        values, k, pool = "abcd"[:rng.randint(2, 4)], rng.randint(1, 2), MULTI_STAGES
+    else:
+        values, k, pool = "ab", rng.randint(1, 3), BINARY_STAGE_POOL
+    delta = rng.randint(0, 3) if model == "relative" else None
+    options = {
+        "bound_stack": rng.choice(STACKS),
+        "reduction_stages": rng.sample(pool, rng.randint(0, len(pool))),
+        "use_reduction": rng.random() < 0.8,
+        "use_heuristic": rng.random() < 0.5,
+    }
+    query = FairCliqueQuery(model=model, k=k, delta=delta, options=options,
+                            workers=workers)
+    return random_graph(rng, values), query, BACKENDS[seed % len(BACKENDS)]
+
+
+def check_case(oracle, monkeypatch, seed: int, workers: int | None = None) -> None:
+    graph, query, backend = random_case(seed, workers)
+    monkeypatch.setenv(ENV_VAR, backend)
+    report = solve(graph, query)
+    oracle.check(graph, report, query.model, query.k, query.delta,
+                 label=f"seed={seed} backend={backend} {query!r}")
+
+
+@pytest.mark.parametrize("chunk", range(CHUNKS))
+def test_exact_solves_match_the_oracle(chunk, oracle, monkeypatch):
+    for seed in range(chunk * CASES_PER_CHUNK, (chunk + 1) * CASES_PER_CHUNK):
+        check_case(oracle, monkeypatch, seed)
+
+
+@pytest.mark.parametrize("seed", range(PARALLEL_CASES))
+def test_two_worker_solves_match_the_oracle(seed, oracle, monkeypatch):
+    check_case(oracle, monkeypatch, 50_000 + seed, workers=2)
+
+
+def mutate(rng: random.Random, graph: AttributedGraph, values: str) -> None:
+    """One batch of 1–4 random edge/vertex insertions and deletions."""
+    with graph.mutate() as g:
+        for _ in range(rng.randint(1, 4)):
+            vertices = sorted(g.vertices())
+            op = rng.random()
+            if op < 0.35 and g.num_edges:
+                g.remove_edge(*rng.choice(sorted(g.edges())))
+            elif op < 0.7 and len(vertices) >= 2:
+                u, v = rng.sample(vertices, 2)
+                if not g.has_edge(u, v):
+                    g.add_edge(u, v)
+            elif op < 0.85 or len(vertices) < 5:
+                new = max(vertices, default=-1) + 1
+                g.add_vertex(new, rng.choice(values))
+                for other in rng.sample(vertices, min(len(vertices), rng.randint(1, 6))):
+                    g.add_edge(new, other)
+            else:
+                g.remove_vertex(rng.choice(vertices))
+
+
+@pytest.mark.parametrize("seed", range(MUTATION_SEQUENCES))
+def test_warm_solves_after_mutations_match_the_oracle(seed, oracle, monkeypatch):
+    seed = 90_000 + seed
+    graph, query, backend = random_case(seed)
+    values = "".join(graph.attribute_values()) or "ab"
+    rng = random.Random(-seed)
+    monkeypatch.setenv(ENV_VAR, backend)
+    with FairCliqueSession(graph) as session:
+        report = session.solve(query)
+        oracle.check(graph, report, query.model, query.k, query.delta,
+                     label=f"seed={seed} backend={backend} cold {query!r}")
+        for step in range(MUTATION_STEPS):
+            mutate(rng, graph, values)
+            session.refresh()
+            report = session.solve(query)
+            oracle.check(graph, report, query.model, query.k, query.delta,
+                         label=f"seed={seed} backend={backend} step={step} {query!r}")

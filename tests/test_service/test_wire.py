@@ -48,7 +48,7 @@ class TestQueryWire:
         FairCliqueQuery(model="relative", k=2, delta=1, time_limit=2.5,
                         workers=2),
         FairCliqueQuery(model="relative", k=2, delta=1,
-                        options={"use_kernel": False,
+                        options={"use_heuristic": False,
                                  "bound_stack": ["ub_size", "ub_color"]}),
     ])
     def test_round_trip(self, query):
