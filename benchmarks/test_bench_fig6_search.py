@@ -2,7 +2,8 @@
 
 Runs the three exact-search configurations over the ``k`` sweep (top row of
 Fig. 6) and the ``delta`` sweep (bottom row) and writes runtimes, branch
-counts, and clique sizes to ``results/fig6_*.txt``.
+counts, and clique sizes to ``results/timed/fig6_*.txt`` (the committed
+``results/fig6_*.txt`` drop the runtimes).
 
 Expected shape: all configurations agree on the optimum; the bound-equipped
 and heuristic-seeded configurations explore far fewer branches, and runtimes

@@ -3,7 +3,7 @@
 Runs the exact search with every bound configuration (``ubAD`` and its five
 augmentations) over the per-dataset ``k`` sweep on two stand-ins, checks that
 every configuration finds the same optimum, and writes the per-cell runtimes
-(in microseconds, the paper's unit) to ``results/table2.txt``.
+(in microseconds, the paper's unit) to ``results/timed/table2_vary_*.txt``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ clique is *not* fair.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.graph.attributed_graph import AttributedGraph
@@ -89,7 +90,8 @@ def build_case_study_graph(name: str, seed: int = 0) -> AttributedGraph:
     * random background vertices and edges.
     """
     spec = get_case_study(name)
-    rng = random.Random(seed + hash(spec.name) % 1000)
+    # crc32, not hash(): str hashes are salted per process (PYTHONHASHSEED).
+    rng = random.Random(seed + zlib.crc32(spec.name.encode()) % 1000)
     graph = AttributedGraph()
     next_id = 0
 

@@ -48,12 +48,7 @@ from repro.kernel.cores import (
     colorful_k_core_mask,
     enhanced_colorful_k_core_mask,
 )
-from repro.kernel.reduce import (
-    colorful_support_peel,
-    count_edges,
-    enhanced_support_peel,
-    survivors_mask,
-)
+from repro.kernel.reduce import support_peel, survivors_mask
 from repro.kernel.maskops import (
     IntMaskOps,
     NumpyMaskOps,
@@ -92,12 +87,9 @@ __all__ = [
     "bit",
     "bits_list",
     "colorful_k_core_mask",
-    "colorful_support_peel",
     "coloring_to_array",
     "compile_kernel",
-    "count_edges",
     "enhanced_colorful_k_core_mask",
-    "enhanced_support_peel",
     "enumerate_maximal_clique_masks",
     "enumerate_maximal_cliques_kernel",
     "greedy_color_array",
@@ -106,5 +98,6 @@ __all__ = [
     "mask_from_indices",
     "maximum_clique_mask",
     "popcount",
+    "support_peel",
     "survivors_mask",
 ]

@@ -1,215 +1,195 @@
-"""Edge-peeling reductions on the compiled kernel.
+"""Edge-peeling reductions on the compiled kernel: one witness-based support engine.
 
-The two support-based reductions (Algorithm 1 / Lemma 3 and Lemma 4) on
-bitset adjacency: an edge key is a plain ``(min, max)`` int pair, the common
-neighbourhood of an edge is one ``&`` of two adjacency bitsets, and edge
-removal is two ``&= ~bit`` updates.
+ColorfulSup (Algorithm 1 / Lemma 3) and EnColorfulSup (Lemma 4) keep an edge
+``(u, v)`` only while its common neighbourhood shows ``need_a`` distinct
+colors among attribute-``a`` vertices and ``need_b`` among attribute-``b``
+ones; the demands depend on the endpoint attributes (:func:`_demands`).
+EnColorfulSup also wants the two color sets disjoint, because inside a clique
+a color is used by one vertex only.
 
-The survival conditions are monotone in the edge set, so the maximal
-surviving subgraph is unique and the peel order does not matter.  The parity
-suite checks both peels against a from-definition fixpoint that recomputes
-:func:`~repro.reduction.colorful_support.colorful_supports` /
+**The witness rule.**  A *class* is a (color, attribute side) pair, and each
+class has a bitset of its vertices.  For every live edge the engine holds
+exactly ``need_a + need_b`` classes present in the edge's common
+neighbourhood — its *witnesses* — as one small int, and nothing else.
+Witnesses are found by AND-ing the common neighbourhood with class masks,
+about one AND per witness; the common neighbours are never walked.  Removing
+an edge ``(u, v)`` takes vertex ``v`` out of the common neighbourhood of
+``(u, w)`` for each common neighbour ``w`` (and ``u`` out of ``(v, w)``).
+That matters only when ``v``'s class is a held witness; then one AND
+``adj[u] & adj[w] & class[v]`` says whether the class is still present.
+Only an emptied witness triggers a rescan, which skips the classes already
+held.  For EnColorfulSup the held colors are disjoint between the two sides,
+so a rescan that finds no free color tries an augmenting path of length two:
+a held color of the other side that is also present on this side moves
+over, and a free color refills the other side.  An edge is condemned only
+when no witness set exists at all, and a condemned edge leaves the witness
+map, so one dict lookup tells a departure whether to look further.
+
+**Why survivors do not depend on peel order.**  Both survival conditions are
+monotone: adding edges never takes a color away from a common neighbourhood,
+so the union of two subgraphs that satisfy the condition satisfies it too.
+The maximal such subgraph is therefore unique, and a peel that removes only
+edges violating the condition in the current (super)graph never removes one
+of its edges.  For EnColorfulSup, "a disjoint witness set exists" is Hall's
+condition for matching colors to the ``need_a + need_b`` demand slots, and
+the witnesses are a maximum matching kept up by augmenting paths.  With only
+two kinds of slot, a shortest augmenting path visits at most one slot of the
+other side, so paths of length two are enough to decide it exactly.  The
+parity suite checks both stages against a from-definition fixpoint that
+recomputes :func:`~repro.reduction.colorful_support.colorful_supports` /
 :func:`~repro.reduction.enhanced_support.enhanced_colorful_supports` after
 every round.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 
-from repro.kernel.bitops import bits_list, iter_bits, mask_above
+from repro.kernel.bitops import bits_list, mask_from_indices_wide
 from repro.kernel.compile import GraphKernel
-from repro.reduction.enhanced_support import (
-    _EdgeGroups,
-    edge_satisfies_enhanced_support,
-)
-
-EdgePair = tuple[int, int]
 
 
-def _thresholds(code_u: int, code_v: int, k: int) -> tuple[int, int]:
-    """The ``(need_a, need_b)`` demands of Lemma 3 by endpoint attribute codes.
+def _demands(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``(need_a, need_b)`` of Lemma 3, indexed by the endpoints' attribute codes.
 
     Attribute code 0 is ``attribute_a`` (the kernel sorts attribute values the
     same way :func:`validate_binary_attributes` does), so this mirrors
     :func:`repro.reduction.colorful_support.support_thresholds` exactly.
     """
-    if code_u == code_v:
-        if code_u == 0:
-            need_a, need_b = k - 2, k
-        else:
-            need_a, need_b = k, k - 2
+    same_a = (max(k - 2, 0), max(k, 0))
+    mixed = (max(k - 1, 0), max(k - 1, 0))
+    same_b = (max(k, 0), max(k - 2, 0))
+    return ((same_a, mixed), (mixed, same_b))
+
+
+def support_peel(
+    kernel: GraphKernel,
+    k: int,
+    colors: list[int],
+    enhanced: bool = False,
+) -> tuple[list[int], int]:
+    """Run the ColorfulSup (or, with ``enhanced``, EnColorfulSup) edge peel.
+
+    Returns ``(surviving adjacency, edges peeled)``.  The adjacency is a
+    per-vertex bitset list over kernel indices; vertices isolated by the peel
+    end up with an empty mask.
+    """
+    n = kernel.n
+    sides = kernel.attr_codes
+    adj = list(kernel.adj_bits)
+    side_masks = (*kernel.attr_masks, 0)[:2]  # a one-valued kernel has no side b
+
+    # Class id 2 * color + side, colors renumbered densely.
+    dense: dict[int, int] = {}
+    cid = [2 * dense.setdefault(c, len(dense)) + s for c, s in zip(colors, sides)]
+    members: list[list[int]] = [[] for _ in range(2 * len(dense))]
+    for index, h in enumerate(cid):
+        members[h].append(index)
+    cls = [mask_from_indices_wide(group, n) for group in members]
+    # A held class blocks itself, or for the disjoint (enhanced) witnesses
+    # both classes of its color; a scan skips a blocked class in one AND.
+    if enhanced:
+        blocked = [3 << (h & ~1) for h in range(len(cls))]
+        hide = [~(cls[h] | cls[h ^ 1]) for h in range(len(cls))]
     else:
-        need_a, need_b = k - 1, k - 1
-    return max(need_a, 0), max(need_b, 0)
+        blocked = [1 << h for h in range(len(cls))]
+        hide = [~mask for mask in cls]
 
+    def fresh(rest: int, held: int) -> int:
+        """A class of ``rest`` that ``held`` does not block, or -1."""
+        while rest:
+            h = cid[rest.bit_length() - 1]
+            if not held & blocked[h]:
+                return h
+            rest &= hide[h]
+        return -1
 
-def _edges(adj: list[int], n: int) -> list[EdgePair]:
-    pairs: list[EdgePair] = []
-    append = pairs.append
+    def pick(rest: int, held: int, want: int) -> tuple[int, int]:
+        """Hold up to ``want`` new classes from ``rest``; return ``(held, missing)``."""
+        while rest and want:
+            h = cid[rest.bit_length() - 1]
+            rest &= hide[h]
+            if not held & blocked[h]:
+                held |= 1 << h
+                want -= 1
+        return held, want
+
+    def augment(common: int, held: int, s: int) -> int:
+        """Hold one more side-``s`` witness; return the new set, or -1 if none."""
+        h = fresh(common & side_masks[s], held)
+        if h >= 0:
+            return held | 1 << h
+        if enhanced:
+            free = fresh(common & side_masks[s ^ 1], held)
+            if free >= 0:
+                bits = held
+                while bits:
+                    h = bits.bit_length() - 1
+                    bits ^= 1 << h
+                    if h & 1 != s and common & cls[h ^ 1]:
+                        # Color h moves to side s; the free color refills its slot.
+                        return held ^ blocked[h] | 1 << free
+        return -1
+
+    demands = _demands(k)
+    side_a, side_b = side_masks
+    witnesses: dict[int, int] = {}  # u * n + v (u < v) -> held classes
+    queue: list[tuple[int, int]] = []
+    indptr, indices = kernel.indptr, kernel.indices
     for u in range(n):
-        higher = adj[u] & mask_above(u)
-        while higher:
-            low = higher & -higher
-            append((u, low.bit_length() - 1))
-            higher ^= low
-    return pairs
-
-
-def _bulk_edge_groups(
-    common: int,
-    attr_codes: tuple[int, ...],
-    colors: list[int],
-) -> _EdgeGroups:
-    """Build an edge's only-a/only-b/mixed group state in one pass.
-
-    Equivalent to ``_EdgeGroups()`` + one ``add`` per common neighbour, but
-    without the per-add group-transition bookkeeping — the counts are
-    classified once at the end.  The state remains ready for incremental
-    ``remove`` calls during the peel.
-    """
-    state = _EdgeGroups()
-    color_counts = state.color_counts
-    while common:
-        low = common & -common
-        w = low.bit_length() - 1
-        common ^= low
-        entry = color_counts.get(colors[w])
-        if entry is None:
-            color_counts[colors[w]] = entry = [0, 0]
-        entry[attr_codes[w]] += 1
-    count_a = count_b = count_mixed = 0
-    for entry in color_counts.values():
-        if entry[0]:
-            if entry[1]:
-                count_mixed += 1
+        adj_u = adj[u]
+        base = u * n
+        demand_u = demands[sides[u]]
+        end = indptr[u + 1]
+        for v in indices[bisect_right(indices, u, indptr[u], end):end]:
+            common = adj_u & adj[v]
+            need_a, need_b = demand_u[sides[v]]
+            held = missing = 0
+            if need_a:
+                held, missing = pick(common & side_a, 0, need_a)
+            if need_b and not missing:
+                held, missing = pick(common & side_b, held, need_b)
+                while missing and enhanced:
+                    held = augment(common, held, 1)
+                    if held < 0:
+                        break
+                    missing -= 1
+            if missing:
+                queue.append((u, v))
             else:
-                count_a += 1
+                witnesses[base + v] = held
+
+    def lose(key: int, held: int, common: int, s: int, x: int, y: int) -> None:
+        held = augment(common, held, s)
+        if held < 0:
+            del witnesses[key]
+            queue.append((x, y))
         else:
-            count_b += 1
-    state.count_a = count_a
-    state.count_b = count_b
-    state.count_mixed = count_mixed
-    return state
-
-
-def colorful_support_peel(
-    kernel: GraphKernel,
-    k: int,
-    colors: list[int],
-) -> tuple[list[int], int]:
-    """Run the ColorfulSup edge peel; return ``(surviving adjacency, edges peeled)``.
-
-    The returned adjacency is a per-vertex bitset list over kernel indices;
-    vertices isolated by the peel simply end up with an empty mask.
-    """
-    n = kernel.n
-    attr_codes = kernel.attr_codes
-    adj = list(kernel.adj_bits)
-
-    # Per edge: one {color: count} per attribute side; support = len(dict).
-    tracker: dict[EdgePair, tuple[dict[int, int], dict[int, int]]] = {}
-    for u, v in _edges(adj, n):
-        counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        common = adj[u] & adj[v]
-        while common:
-            low = common & -common
-            w = low.bit_length() - 1
-            common ^= low
-            bucket = counts[attr_codes[w]]
-            color = colors[w]
-            bucket[color] = bucket.get(color, 0) + 1
-        tracker[(u, v)] = counts
-
-    def violates(u: int, v: int) -> bool:
-        need_a, need_b = _thresholds(attr_codes[u], attr_codes[v], k)
-        counts = tracker[(u, v) if u < v else (v, u)]
-        return len(counts[0]) < need_a or len(counts[1]) < need_b
-
-    queue: deque[EdgePair] = deque()
-    condemned: set[EdgePair] = set()
-    for key in tracker:
-        if violates(*key):
-            queue.append(key)
-            condemned.add(key)
+            witnesses[key] = held
 
     peeled = 0
     while queue:
-        u, v = queue.popleft()
-        if not (adj[u] >> v) & 1:
-            continue
-        common = adj[u] & adj[v]
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        u, v = queue.pop()
+        adj[u] = adj_u = adj[u] & ~(1 << v)
+        adj[v] = adj_v = adj[v] & ~(1 << u)
         peeled += 1
-        for w in iter_bits(common):
-            for x, y, lost in ((u, w, v), (v, w, u)):
-                key = (x, y) if x < y else (y, x)
-                if key in condemned or not (adj[x] >> y) & 1:
-                    continue
-                bucket = tracker[key][attr_codes[lost]]
-                color = colors[lost]
-                remaining = bucket.get(color, 0) - 1
-                if remaining <= 0:
-                    bucket.pop(color, None)
-                    if violates(x, y):
-                        queue.append(key)
-                        condemned.add(key)
-                else:
-                    bucket[color] = remaining
-    return adj, peeled
-
-
-def enhanced_support_peel(
-    kernel: GraphKernel,
-    k: int,
-    colors: list[int],
-) -> tuple[list[int], int]:
-    """Run the EnColorfulSup edge peel; return ``(surviving adjacency, edges peeled)``.
-
-    Tracks each edge's only-a/only-b/mixed color groups incrementally with
-    :class:`repro.reduction.enhanced_support._EdgeGroups`.
-    """
-    n = kernel.n
-    attr_codes = kernel.attr_codes
-    adj = list(kernel.adj_bits)
-
-    groups: dict[EdgePair, _EdgeGroups] = {}
-    for u, v in _edges(adj, n):
-        groups[(u, v)] = _bulk_edge_groups(adj[u] & adj[v], attr_codes, colors)
-
-    def violates(u: int, v: int) -> bool:
-        need_a, need_b = _thresholds(attr_codes[u], attr_codes[v], k)
-        state = groups[(u, v) if u < v else (v, u)]
-        return not edge_satisfies_enhanced_support(
-            state.count_a, state.count_b, state.count_mixed, need_a, need_b
-        )
-
-    queue: deque[EdgePair] = deque()
-    condemned: set[EdgePair] = set()
-    for key in groups:
-        if violates(*key):
-            queue.append(key)
-            condemned.add(key)
-
-    peeled = 0
-    while queue:
-        u, v = queue.popleft()
-        if not (adj[u] >> v) & 1:
+        common = adj_u & adj_v
+        if not common:
             continue
-        common = adj[u] & adj[v]
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        peeled += 1
-        for w in iter_bits(common):
-            for x, y, lost in ((u, w, v), (v, w, u)):
-                key = (x, y) if x < y else (y, x)
-                if key in condemned or not (adj[x] >> y) & 1:
-                    continue
-                groups[key].remove(colors[lost], attr_codes[lost] == 0)
-                if violates(x, y):
-                    queue.append(key)
-                    condemned.add(key)
+        # (u, w) loses v and (v, w) loses u for every common neighbour w.
+        hu, hv = cid[u], cid[v]
+        bit_u, bit_v = 1 << hu, 1 << hv
+        keep_u, keep_v = adj_v & cls[hu], adj_u & cls[hv]
+        for w in bits_list(common):
+            adj_w = adj[w]
+            key = u * n + w if u < w else w * n + u
+            held = witnesses.get(key)
+            if held is not None and held & bit_v and not keep_v & adj_w:
+                lose(key, held ^ bit_v, adj_u & adj_w, hv & 1, u, w)
+            key = v * n + w if v < w else w * n + v
+            held = witnesses.get(key)
+            if held is not None and held & bit_u and not keep_u & adj_w:
+                lose(key, held ^ bit_u, adj_v & adj_w, hu & 1, v, w)
     return adj, peeled
 
 
@@ -220,15 +200,3 @@ def survivors_mask(adj: list[int]) -> int:
         if neighbors:
             mask |= 1 << index
     return mask
-
-
-def count_edges(adj: list[int], mask: int | None = None) -> int:
-    """Number of undirected edges in a bitset adjacency (restricted to ``mask``)."""
-    total = 0
-    if mask is None:
-        for neighbors in adj:
-            total += neighbors.bit_count()
-        return total // 2
-    for index in bits_list(mask):
-        total += (adj[index] & mask).bit_count()
-    return total // 2

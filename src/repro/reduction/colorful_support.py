@@ -63,9 +63,10 @@ def colorful_supports(
 ) -> dict[EdgeKey, dict[str, int]]:
     """Compute ``sup_a`` and ``sup_b`` for every edge of ``graph`` (Definition 6).
 
-    Mainly a diagnostic / testing helper; the kernel peel
-    (:func:`repro.kernel.reduce.colorful_support_peel`) maintains the same
-    quantities incrementally.
+    A diagnostic and the test reference.  The kernel peel
+    (:func:`repro.kernel.reduce.support_peel`) never counts colors: it keeps
+    only ``need`` witness colors per edge and side, enough to decide the
+    Lemma 3 thresholds.
     """
     attribute_a, attribute_b = validate_binary_attributes(graph)
     if coloring is None:
@@ -110,10 +111,9 @@ def _kernel_support_reduction(
     :class:`AttributedGraph` for the next pipeline stage.
     """
     from repro.kernel import (
-        colorful_support_peel,
         coloring_to_array,
-        enhanced_support_peel,
         greedy_color_array,
+        support_peel,
         survivors_mask,
     )
 
@@ -122,8 +122,7 @@ def _kernel_support_reduction(
         colors = greedy_color_array(kernel)
     else:
         colors = coloring_to_array(kernel, coloring)
-    peel = enhanced_support_peel if enhanced else colorful_support_peel
-    adjacency, edges_peeled = peel(kernel, k, colors)
+    adjacency, edges_peeled = support_peel(kernel, k, colors, enhanced)
     reduced = kernel.materialize(survivors_mask(adjacency), adjacency)
     return ReductionResult(
         name="EnColorfulSup" if enhanced else "ColorfulSup",

@@ -104,62 +104,6 @@ def enhanced_colorful_supports(
     return result
 
 
-class _EdgeGroups:
-    """Incremental (only-a / only-b / mixed) color bookkeeping for one edge."""
-
-    __slots__ = ("color_counts", "count_a", "count_b", "count_mixed")
-
-    def __init__(self) -> None:
-        # color -> [number of a-attributed common neighbours, number of b-attributed]
-        self.color_counts: dict[int, list[int]] = {}
-        self.count_a = 0
-        self.count_b = 0
-        self.count_mixed = 0
-
-    def _group_of(self, counts: list[int]) -> str | None:
-        if counts[0] > 0 and counts[1] > 0:
-            return "mixed"
-        if counts[0] > 0:
-            return "a"
-        if counts[1] > 0:
-            return "b"
-        return None
-
-    def _adjust(self, group: str | None, delta: int) -> None:
-        if group == "a":
-            self.count_a += delta
-        elif group == "b":
-            self.count_b += delta
-        elif group == "mixed":
-            self.count_mixed += delta
-
-    def add(self, color: int, is_attribute_a: bool) -> None:
-        """Register one common neighbour of the edge."""
-        counts = self.color_counts.setdefault(color, [0, 0])
-        before = self._group_of(counts)
-        counts[0 if is_attribute_a else 1] += 1
-        after = self._group_of(counts)
-        if before != after:
-            self._adjust(before, -1)
-            self._adjust(after, +1)
-
-    def remove(self, color: int, is_attribute_a: bool) -> None:
-        """Unregister one common neighbour (after a triangle is destroyed)."""
-        counts = self.color_counts.get(color)
-        if counts is None:
-            return
-        before = self._group_of(counts)
-        index = 0 if is_attribute_a else 1
-        if counts[index] > 0:
-            counts[index] -= 1
-        after = self._group_of(counts)
-        if before != after:
-            self._adjust(before, -1)
-            self._adjust(after, +1)
-        if counts[0] == 0 and counts[1] == 0:
-            del self.color_counts[color]
-
-
 def enhanced_colorful_support_reduction(
     graph: AttributedGraph,
     k: int,

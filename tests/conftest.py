@@ -101,6 +101,16 @@ class FairCliqueOracle:
         gap = FairCliqueQuery(model=model, k=k, delta=delta).effective_delta(graph)
         return len(values) == 2 and abs(counts[values[0]] - counts[values[1]]) <= gap
 
+    @classmethod
+    def fair_maximal_cliques(cls, graph: AttributedGraph, model: str, k: int,
+                             delta: int | None = None) -> set[frozenset]:
+        """The maximal cliques of ``graph`` that are fair: what ``task="enumerate"`` answers."""
+        return {
+            frozenset(clique)
+            for clique in enumerate_maximal_cliques_reference(graph)
+            if cls.is_fair_clique(graph, clique, model, k, delta)
+        }
+
     def check(self, graph: AttributedGraph, result, model: str, k: int,
               delta: int | None = None, label: str = "") -> None:
         """Assert ``result`` (a report or search result) is an optimal answer."""

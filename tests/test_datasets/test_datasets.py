@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets.case_studies import (
@@ -109,6 +115,32 @@ class TestCaseStudies:
         result = find_maximum_fair_clique(graph, spec.k, spec.delta, time_limit=60.0)
         assert result.size == spec.expected_team_size
         assert is_relative_fair_clique(graph, result.clique, spec.k, spec.delta)
+
+    def test_graphs_do_not_depend_on_the_hash_seed(self):
+        # str hashes are salted per process; the graphs must not follow them.
+        script = (
+            "import json\n"
+            "from repro.datasets.case_studies import build_case_study_graph, case_study_names\n"
+            "out = {}\n"
+            "for name in case_study_names():\n"
+            "    g = build_case_study_graph(name)\n"
+            "    out[name] = [\n"
+            "        sorted((v, g.attribute(v), g.label(v)) for v in g.vertices()),\n"
+            "        sorted(sorted(e) for e in g.edges()),\n"
+            "    ]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        builds = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            builds.append(json.loads(done.stdout))
+        assert builds[0] == builds[1]
+        assert set(builds[0]) == set(case_study_names())
 
     @pytest.mark.parametrize("name", case_study_names())
     def test_raw_maximum_clique_is_not_fair(self, name):

@@ -28,11 +28,7 @@ from repro.kernel import (
 )
 from repro.kernel.backend import ENV_VAR
 from repro.kernel.bounds import stack_evaluate
-from repro.kernel.reduce import (
-    colorful_support_peel,
-    enhanced_support_peel,
-    survivors_mask,
-)
+from repro.kernel.reduce import support_peel, survivors_mask
 from repro.search.maxrfc import MaxRFC, assert_valid_result, build_search_config
 
 MODELS = ("relative", "weak", "strong", "multi_weak")
@@ -141,19 +137,17 @@ class TestReductionMatrix:
     """Peeling survivors are backend-independent."""
 
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize(
-        "peel", [colorful_support_peel, enhanced_support_peel]
-    )
-    def test_peel_survivors_identical(self, k, peel):
+    @pytest.mark.parametrize("enhanced", [False, True], ids=["ColorfulSup", "EnColorfulSup"])
+    def test_peel_survivors_identical(self, k, enhanced):
         for graph in _graphs():
             outcomes = {}
             for backend in BACKENDS:
                 kernel = compile_kernel(graph, backend)
-                adj, peeled = peel(kernel, k, greedy_color_array(kernel))
+                adj, peeled = support_peel(kernel, k, greedy_color_array(kernel), enhanced)
                 outcomes[backend] = (adj, peeled, survivors_mask(adj))
             reference = outcomes["int"]
             for backend, outcome in outcomes.items():
-                assert outcome == reference, (backend, peel.__name__)
+                assert outcome == reference, (backend, enhanced)
 
 
 class TestBoundMatrix:

@@ -23,7 +23,13 @@ from repro.bounds.stacks import get_stack, stack_names
 from repro.coloring.greedy import greedy_coloring
 from repro.cores.colorful import colorful_k_core
 from repro.cores.enhanced import enhanced_colorful_k_core
-from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.generators import (
+    community_graph,
+    erdos_renyi_graph,
+    powerlaw_cluster_graph,
+    quasi_clique_blobs,
+)
 from repro.heuristic.greedy_core import (
     greedy_grow_clique,
     greedy_grow_clique_reference,
@@ -142,14 +148,16 @@ class TestSearchAgainstOracle:
             oracle.check(graph, result, "relative", 2, 1, label=f"heuristic={use_heuristic}")
 
 
-def support_fixpoint(graph, k, enhanced):
+def support_fixpoint(graph, k, enhanced, coloring=None):
     """The Lemma 3 / Lemma 4 subgraph straight from the definitions.
 
     Supports are recomputed from scratch under one fixed coloring of the
-    input, every violating edge is dropped, and the round repeats until no
-    edge violates; isolated vertices go last.  Returns ``(graph, peeled)``.
+    input (default: the greedy coloring the stages use), every violating edge
+    is dropped, and the round repeats until no edge violates; isolated
+    vertices go last.  Returns ``(graph, peeled)``.
     """
-    coloring = greedy_coloring(graph)
+    if coloring is None:
+        coloring = greedy_coloring(graph)
     attribute_a, attribute_b = graph.attribute_pair()
     working = graph.copy()
     while True:
@@ -173,6 +181,25 @@ def support_fixpoint(graph, k, enhanced):
             working.remove_edge(u, v)
     survivors = [v for v in working.vertices() if working.degree(v) > 0]
     return working.subgraph(survivors), graph.num_edges - working.num_edges
+
+
+def fixpoint_graphs():
+    """The parity grid plus a dense-blob and a power-law instance."""
+    return graph_grid() + [
+        quasi_clique_blobs(AttributedGraph(), 2, 16, 0.6, seed=3),
+        powerlaw_cluster_graph(60, 4, 0.5, seed=2),
+    ]
+
+
+def random_coloring(graph, seed):
+    """A seeded coloring with 1-6 colors, proper or not.
+
+    Few colors make a color show up on both attribute sides of an edge and
+    let one departure empty a witness, which the greedy coloring rarely does.
+    """
+    rng = random.Random(seed)
+    palette = rng.randint(1, 6)
+    return {v: rng.randrange(palette) for v in sorted(graph.vertices(), key=str)}
 
 
 class TestReductionAgainstReferences:
@@ -202,6 +229,24 @@ class TestReductionAgainstReferences:
             got = stage(graph, k)
             assert graph_signature(got.graph) == graph_signature(expected), stage
             assert got.extra["edges_peeled"] == peeled, stage
+
+    @pytest.mark.parametrize("graph_index", range(8))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_support_stages_match_the_fixpoint_under_random_colorings(
+        self, graph_index, k, trial
+    ):
+        graph = fixpoint_graphs()[graph_index]
+        seed = 100 * graph_index + 10 * k + trial
+        coloring = random_coloring(graph, seed)
+        for stage, enhanced in (
+            (colorful_support_reduction, False),
+            (enhanced_colorful_support_reduction, True),
+        ):
+            expected, peeled = support_fixpoint(graph, k, enhanced, coloring)
+            got = stage(graph, k, coloring)
+            assert graph_signature(got.graph) == graph_signature(expected), (stage, seed)
+            assert got.extra["edges_peeled"] == peeled, (stage, seed)
 
 
 class TestBoundParity:

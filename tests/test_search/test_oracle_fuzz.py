@@ -8,7 +8,10 @@ backends.  The answer must be optimal, a valid fair clique, and exactly as
 large as the :class:`FairCliqueOracle` answer (set-based Bron–Kerbosch plus
 the best fair subset of every maximal clique; see ``tests/conftest.py``).
 A few cases run on two workers, and a set of mutation sequences checks warm
-re-solves after ``graph.mutate()`` → ``session.refresh()``.
+re-solves after ``graph.mutate()`` → ``session.refresh()``.  The enumeration
+tasks run on the same random graphs and models: ``task="enumerate"`` must
+return exactly the oracle's fair maximal cliques, and ``task="top_k"`` the
+``count`` largest of them.
 
 Every failure message names the case seed and the query, so
 ``random_case(seed)`` rebuilds the failing input.
@@ -35,6 +38,7 @@ BACKENDS = tuple(available_backends())
 CHUNKS = 8
 CASES_PER_CHUNK = 128
 PARALLEL_CASES = 8
+TASK_CASES = 128
 MUTATION_SEQUENCES = 20
 MUTATION_STEPS = 3
 
@@ -89,6 +93,26 @@ def test_exact_solves_match_the_oracle(chunk, oracle, monkeypatch):
 @pytest.mark.parametrize("seed", range(PARALLEL_CASES))
 def test_two_worker_solves_match_the_oracle(seed, oracle, monkeypatch):
     check_case(oracle, monkeypatch, 50_000 + seed, workers=2)
+
+
+@pytest.mark.parametrize("task", ("enumerate", "top_k"))
+def test_enumeration_tasks_match_the_oracle(task, oracle, monkeypatch):
+    for seed in range(70_000, 70_000 + TASK_CASES):
+        graph, drawn, backend = random_case(seed)
+        count = random.Random(-seed).randint(1, 4) if task == "top_k" else None
+        query = FairCliqueQuery(model=drawn.model, k=drawn.k, delta=drawn.delta,
+                                task=task, count=count)
+        monkeypatch.setenv(ENV_VAR, backend)
+        report = solve(graph, query)
+        expected = oracle.fair_maximal_cliques(graph, query.model, query.k, query.delta)
+        label = f"seed={seed} backend={backend} {query!r}"
+        cliques = report.cliques
+        assert len(set(cliques)) == len(cliques) and set(cliques) <= expected, label
+        if task == "enumerate":
+            assert len(cliques) == len(expected), label
+        else:
+            sizes = sorted(map(len, expected), reverse=True)[:count]
+            assert [len(clique) for clique in cliques] == sizes, label
 
 
 def mutate(rng: random.Random, graph: AttributedGraph, values: str) -> None:
