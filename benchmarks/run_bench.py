@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf benchmarks — the machine-readable perf trajectory of the repo.
 
-Eight suites share this driver:
+Seven suites share this driver:
 
 * ``--suite kernel`` (default) runs a fixed seed-graph grid (n ≈ 2000
   generated stand-ins) through one ``ubAD`` bound-stack evaluation, once on
@@ -37,13 +37,6 @@ Eight suites share this driver:
   plain/armed wall-clock and their ratio to
   ``benchmarks/results/BENCH_chaos.json``.  The gate asserts the hooks stay
   free: an armed-but-idle plan must not slow the solver down.
-* ``--suite sharedmem`` compiles words kernels at increasing n and times
-  the zero-copy ship against the classic one: ``export_snapshot`` /
-  ``attach_snapshot`` (map the segment, rebuild the kernel over a buffer
-  view) vs a pickle dumps+loads roundtrip, plus one two-worker e2e solve
-  with the shm path on and forcibly off (``REPRO_DISABLE_SHM=1``).  Writes
-  per-cell bytes and wall-clocks to
-  ``benchmarks/results/BENCH_sharedmem.json``.
 * ``--suite durability`` drives the same upload+solve loop over the wire
   once on an ephemeral service and once with a ``--data-dir`` WAL attached,
   then times a warm restart over the written logs, and writes the
@@ -123,11 +116,10 @@ from repro.graph.generators import (
 )
 from repro.incremental import patch_kernel
 from repro.kernel import available_backends, compile_kernel
-from repro.kernel.backend import BACKEND_INT, BACKEND_WORDS, ENV_VAR
+from repro.kernel.backend import BACKEND_INT, BACKEND_WORDS
 from repro.kernel.bitops import bits_list, mask_from_indices, mask_from_indices_wide
 from repro.kernel.bounds import stack_evaluate
 from repro.kernel.view import SubgraphView
-from repro.parallel import shm
 from repro.models import make_model
 from repro.parallel import ParallelConfig, ParallelMaxRFC
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
@@ -140,7 +132,6 @@ SESSION_SCHEMA = "bench_session/v1"
 SERVICE_SCHEMA = "bench_service/v1"
 CHAOS_SCHEMA = "bench_chaos/v1"
 DURABILITY_SCHEMA = "bench_durability/v1"
-SHAREDMEM_SCHEMA = "bench_sharedmem/v1"
 INCREMENTAL_SCHEMA = "bench_incremental/v1"
 #: schema -> the medians key the --check gate compares.
 CHECK_KEYS = {
@@ -150,7 +141,6 @@ CHECK_KEYS = {
     SERVICE_SCHEMA: "service_speedup",
     CHAOS_SCHEMA: "chaos_speedup",
     DURABILITY_SCHEMA: "durability_speedup",
-    SHAREDMEM_SCHEMA: "sharedmem_speedup",
     INCREMENTAL_SCHEMA: "incremental_speedup",
 }
 #: The kernel suite additionally gates this medians key at an absolute floor:
@@ -967,151 +957,6 @@ def run_scaling_axis(mode: str, repeats: int) -> tuple[list, dict]:
     return cells, medians
 
 
-def sharedmem_grid(mode):
-    """(name, n, m) cells for the snapshot-ship suite (words kernels)."""
-    if mode == "smoke":
-        return [("n10k", 10_000, 120_000)]
-    return [
-        ("n10k", 10_000, 120_000),
-        ("n20k", 20_000, 400_000),
-        ("n50k", 50_000, 600_000),
-    ]
-
-
-def bench_sharedmem(n, m, repeats):
-    """Zero-copy snapshot attach vs the pickle ship, per worker.
-
-    ``pickle_roundtrip_s`` (dumps + loads) is what every pool worker pays on
-    the classic ship path; ``attach_s`` is its zero-copy replacement — map
-    the exported segment and rebuild the kernel over a buffer view.  The
-    one-time coordinator-side costs (``export_s`` vs ``pickle_dumps_s``) are
-    recorded alongside.  Attached clones must equal the original.
-    """
-    kernel = compile_kernel(_scaling_graph(n, m), BACKEND_WORDS)
-    blob = pickle.dumps(kernel)
-    dumps_s = _time_loop(lambda: pickle.dumps(kernel), 1, repeats)
-    loads_s = _time_loop(lambda: pickle.loads(blob), 1, repeats)
-
-    export_samples = []
-    attach_samples = []
-    snapshot_bytes = 0
-    for _ in range(repeats):
-        started = time.perf_counter()
-        ref = shm.export_snapshot(kernel)
-        export_samples.append(time.perf_counter() - started)
-        snapshot_bytes = ref.total_bytes
-        try:
-            started = time.perf_counter()
-            clone, segment = shm.attach_snapshot(ref)
-            attach_samples.append(time.perf_counter() - started)
-            if (clone.index_of != kernel.index_of
-                    or clone.adj_bits[0] != kernel.adj_bits[0]):
-                raise AssertionError("attached snapshot parity violated")
-            # The kernel's buffer views pin the mapping; release them first.
-            del clone
-            segment.close()
-        finally:
-            shm.destroy_snapshot(ref)
-    attach_s = median_of(attach_samples)
-    roundtrip_s = dumps_s + loads_s
-    return {
-        "snapshot_bytes": snapshot_bytes,
-        "pickle_bytes": len(blob),
-        "pickle_dumps_s": dumps_s,
-        "pickle_loads_s": loads_s,
-        "pickle_roundtrip_s": roundtrip_s,
-        "export_s": median_of(export_samples),
-        "attach_s": attach_s,
-        "speedup": roundtrip_s / max(attach_s, 1e-12),
-    }
-
-
-def bench_sharedmem_e2e(repeats):
-    """Two-worker solve parity, zero-copy ship vs forced pickle ship.
-
-    On a single-core runner the wall-clocks are pool overhead either way;
-    the cell exists for the parity assertion and the ship telemetry, both
-    of which are machine-independent.
-    """
-    graph = quasi_clique_blobs(erdos_renyi_graph(0, 0.0), num_blobs=4,
-                               blob_size=60, edge_probability=0.55, seed=3)
-    query = FairCliqueQuery(model="relative", k=2, delta=1, workers=2)
-    saved = {key: os.environ.get(key)
-             for key in (ENV_VAR, shm.DISABLE_ENV_VAR)}
-    timings = {}
-    outcomes = {}
-    try:
-        os.environ[ENV_VAR] = BACKEND_WORDS
-        for label in ("shm", "pickle"):
-            if label == "pickle":
-                os.environ[shm.DISABLE_ENV_VAR] = "1"
-            else:
-                os.environ.pop(shm.DISABLE_ENV_VAR, None)
-            samples = []
-            for _ in range(repeats):
-                started = time.monotonic()
-                report = solve(graph, query)
-                samples.append(time.monotonic() - started)
-            timings[label] = median_of(samples)
-            outcomes[label] = (
-                report.size, report.metadata["parallel"]["shm"],
-                report.metadata["parallel"].get("shm_bytes", 0),
-            )
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    if outcomes["shm"][0] != outcomes["pickle"][0]:
-        raise AssertionError(
-            f"shm/pickle ship parity violated: {outcomes}"
-        )
-    if not outcomes["shm"][1] or outcomes["pickle"][1]:
-        raise AssertionError(f"ship-path selection broken: {outcomes}")
-    return {
-        "clique_size": outcomes["shm"][0],
-        "shm_solve_s": timings["shm"],
-        "pickle_solve_s": timings["pickle"],
-        "shm_bytes": outcomes["shm"][2],
-    }
-
-
-def run_sharedmem(mode: str, repeats: int) -> dict:
-    cells = []
-    for name, n, m in sharedmem_grid(mode):
-        print(f"[bench] sharedmem {name}: n={n} m={m}", flush=True)
-        cell = {"name": name, "n": n, "m": m,
-                **bench_sharedmem(n, m, repeats)}
-        print(f"        pickle {cell['pickle_roundtrip_s'] * 1e3:.1f}ms  "
-              f"attach {cell['attach_s'] * 1e3:.2f}ms  x{cell['speedup']:.1f}",
-              flush=True)
-        cells.append(cell)
-    print(f"[bench] sharedmem e2e: 2-worker solve, shm vs forced pickle",
-          flush=True)
-    e2e = bench_sharedmem_e2e(repeats)
-    print(f"        shm {e2e['shm_solve_s']:.3f}s  "
-          f"pickle {e2e['pickle_solve_s']:.3f}s  "
-          f"shipped {e2e['shm_bytes']} bytes", flush=True)
-    medians = {
-        "pickle_roundtrip_s": median_of(
-            [cell["pickle_roundtrip_s"] for cell in cells]),
-        "attach_s": median_of([cell["attach_s"] for cell in cells]),
-        "sharedmem_speedup": median_of([cell["speedup"] for cell in cells]),
-    }
-    return {
-        "schema": SHAREDMEM_SCHEMA,
-        "mode": mode,
-        "repeats": repeats,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cells": cells,
-        "e2e": e2e,
-        "medians": medians,
-    }
-
-
 def bench_parallel(graph, model_name, k, delta, repeats, workers):
     """Median search seconds serial vs parallel + exact result parity.
 
@@ -1151,8 +996,6 @@ def bench_parallel(graph, model_name, k, delta, repeats, workers):
         "components_split": telemetry.get("components_split", 0),
         "incumbent_channel": telemetry.get("incumbent_channel", False),
         "kernel_backend": telemetry.get("kernel_backend", "unknown"),
-        "shm": telemetry.get("shm", False),
-        "shm_attach_fallbacks": telemetry.get("shm_attach_fallbacks", 0),
     }
 
 
@@ -1403,8 +1246,8 @@ def run_parallel(mode: str, repeats: int, workers: int) -> dict:
         }
         print(f"        serial {cell['serial_s']:.3f}s  "
               f"parallel {cell['parallel_s']:.3f}s  x{cell['speedup']:.2f}  "
-              f"shards={cell['shards']}  backend={cell['kernel_backend']}  "
-              f"shm={'on' if cell['shm'] else 'off'}", flush=True)
+              f"shards={cell['shards']}  backend={cell['kernel_backend']}",
+              flush=True)
         cells.append(cell)
     medians = {
         "serial_s": median_of([cell["serial_s"] for cell in cells]),
@@ -1516,17 +1359,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite",
                         choices=("kernel", "parallel", "session", "service",
-                                 "chaos", "durability", "sharedmem",
-                                 "incremental"),
+                                 "chaos", "durability", "incremental"),
                         default="kernel",
                         help="kernel-vs-reference ubAD bounds + the backend "
                              "scaling axis, serial-vs-parallel search, cold-vs-warm "
                              "session caching, the HTTP service tier "
                              "(cold/warm/result-cached), the fault-hook "
                              "overhead check, the WAL-on-vs-off + "
-                             "warm-restart recovery suite, the zero-copy "
-                             "snapshot-ship suite (attach vs pickle), or the "
-                             "mutation suite (patch-vs-recompile and warm "
+                             "warm-restart recovery suite, or the mutation "
+                             "suite (patch-vs-recompile and warm "
                              "mutate→re-solve vs cold)")
     parser.add_argument("--smoke", action="store_true",
                         help="run the small CI grid instead of the full one")
@@ -1571,13 +1412,6 @@ def main(argv=None) -> int:
         report = run_durability(mode, max(1, args.repeats))
         default_name = ("BENCH_durability_smoke.json" if args.smoke
                         else "BENCH_durability.json")
-    elif args.suite == "sharedmem":
-        if not shm.shm_available():
-            parser.error("--suite sharedmem needs POSIX shared memory "
-                         "(/dev/shm); set none available on this machine")
-        report = run_sharedmem(mode, max(1, args.repeats))
-        default_name = ("BENCH_sharedmem_smoke.json" if args.smoke
-                        else "BENCH_sharedmem.json")
     elif args.suite == "incremental":
         report = run_incremental(mode, max(1, args.repeats))
         default_name = ("BENCH_incremental_smoke.json" if args.smoke

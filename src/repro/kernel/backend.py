@@ -14,10 +14,9 @@ bulk-operation substrate* behind the snapshot:
     masks live in **one contiguous buffer** (``n + d`` rows of
     ``ceil(n/64)`` words each).  Rows are materialised into ints lazily and
     cached, so per-branch search arithmetic is identical to ``int`` — but
-    compiling is O(m) byte-sets instead of O(m·words) big-int ORs, the
-    snapshot pickles as a single ``bytes`` blob, and the buffer can be
-    placed in ``multiprocessing.shared_memory`` so parallel workers attach
-    zero-copy (:mod:`repro.parallel.shm`).  Stdlib-pure.
+    compiling is O(m) byte-sets instead of O(m·words) big-int ORs, and the
+    snapshot pickles as one ``bytes`` blob plus two flat CSR arrays.
+    Stdlib-pure.
 ``numpy``
     The ``words`` layout with the buffer additionally wrapped as a 2-D
     ``uint64`` ndarray: bulk reductions (component BFS row unions,

@@ -159,8 +159,8 @@ class GraphKernel:
     def neighbors_csr(self, index: int) -> list[int]:
         """Neighbour indices of ``index`` as a CSR slice (ascending)."""
         row = self.indices[self.indptr[index]:self.indptr[index + 1]]
-        # The words backends store machine-typed arrays (or shared-memory
-        # memoryviews); normalise so every backend honours the list contract.
+        # The words backends store machine-typed arrays; normalise so every
+        # backend honours the list contract.
         return row if type(row) is list else list(row)
 
     def attribute_of(self, index: int) -> str:

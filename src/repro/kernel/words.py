@@ -16,10 +16,9 @@ snapshot serialises n separate big ints.  The words backend keeps the same
   arithmetic it was written against — search trees, bounds, and counters
   are bit-for-bit identical across backends.
 * The CSR arrays are machine-typed (``array('Q')``), so the whole snapshot
-  pickles as three flat byte blobs instead of ~n Python objects, and the
-  buffer can be mapped from :mod:`multiprocessing.shared_memory` so pool
-  workers attach zero-copy (:mod:`repro.parallel.shm` builds a kernel whose
-  ``buffer``/``indptr``/``indices`` are memoryviews into the segment).
+  pickles as three flat byte blobs instead of ~n Python objects (parallel
+  workers inherit it by ``fork`` and never unpickle it; the blobs are what
+  crosses a process boundary where fork is absent).
 
 ``NumpyGraphKernel`` is the same storage compiled under the ``numpy``
 backend name: it differs only in the mask-ops implementation bound to it
@@ -134,9 +133,9 @@ class WordsGraphKernel(GraphKernel):
     def __getstate__(self):
         return {
             "vertex_of": self.vertex_of,
-            "indptr": _as_array(self.indptr),
-            "indices": _as_array(self.indices),
-            "buffer": _as_bytes(self.buffer),
+            "indptr": self.indptr,
+            "indices": self.indices,
+            "buffer": self.buffer,
             "attribute_values": self.attribute_values,
             "attr_codes": self.attr_codes,
             "labels": self.labels,
@@ -174,20 +173,6 @@ class NumpyGraphKernel(WordsGraphKernel):
     backend = BACKEND_NUMPY
 
     __slots__ = ()
-
-
-def _as_array(values) -> array:
-    if isinstance(values, array):
-        return values
-    if isinstance(values, memoryview):
-        return array("Q", values.tobytes())
-    return array("Q", values)
-
-
-def _as_bytes(buffer) -> bytes:
-    if isinstance(buffer, bytes):
-        return buffer
-    return bytes(buffer)
 
 
 def compile_words_kernel(

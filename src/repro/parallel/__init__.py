@@ -17,7 +17,7 @@ Entry points, from highest to lowest level:
 The executor is exact: clique sizes always match the serial kernel search
 (the returned clique may be a different one of equal size).  It pays off on
 multi-core machines with several surviving components or one large split
-component; on tiny graphs the fork/ship/poll overhead loses to serial.
+component; on tiny graphs the fork/poll overhead loses to serial.
 """
 
 from repro.parallel.executor import (

@@ -11,11 +11,14 @@ whose component loop fans out over a ``ProcessPoolExecutor``:
 3. :func:`~repro.parallel.sharding.plan_shards` turns the surviving
    components into independent tasks, splitting oversized components one
    branch level deep into root-subtree shards;
-4. the snapshot is shipped to each worker exactly once through the pool
-   *initializer*; shards reference it by component index;
+4. the snapshot reaches each worker exactly once, as the pool
+   *initializer*'s argument: under ``fork`` the worker inherits it
+   copy-on-write and nothing is pickled; without ``fork`` it pickles once
+   per worker.  Shards reference it by component index;
 5. workers share one incumbent-size channel (a ``multiprocessing.Value``,
    inherited across ``fork``): a clique found in one shard tightens the
-   pruning threshold in all others within ``poll_interval`` branches;
+   pruning threshold in all others within
+   :data:`~repro.parallel.worker.POLL_INTERVAL` branches;
    the fairness model ships inside the payload as a bound
    :class:`~repro.models.base.ActiveModel`, so every model — including
    ``multi_weak`` over arbitrary attribute domains — shards identically;
@@ -28,8 +31,8 @@ superset of what the serial search would explore under the same incumbent,
 so the merged maximum has the same size as the serial optimum (the parity
 suite pins this across models and worker counts).  What it changes is
 wall-clock on multi-core machines — and on tiny graphs it *loses* to serial,
-because forking, shipping the snapshot, and polling cost more than the
-search itself; see the README's "Parallel execution" section for guidance.
+because forking and polling cost more than the search itself; see the
+README's "Parallel execution" section for guidance.
 """
 
 from __future__ import annotations
@@ -43,12 +46,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from dataclasses import replace as dataclass_replace
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.kernel.words import WordsGraphKernel
 from repro.models.base import ActiveModel
-from repro.parallel import shm as shm_module
 from repro.parallel import worker as worker_module
 from repro.parallel.sharding import Shard, ShardPlan, plan_shards
 from repro.parallel.worker import WorkerPayload
@@ -60,6 +60,12 @@ from repro.search.statistics import SearchStats
 
 #: Components at most this large run as one shard; larger ones are split.
 DEFAULT_SPLIT_THRESHOLD = 96
+
+#: How many times a failed shard is resubmitted to a (possibly respawned)
+#: pool before the coordinator runs it serially in-process.  Shards are pure
+#: functions of the kernel snapshot, so a retry can never change the answer
+#: — only recover it.
+MAX_SHARD_RETRIES = 2
 
 #: Wire schema tag of persisted solve checkpoints.
 CHECKPOINT_SCHEMA = "repro-solve-checkpoint/v1"
@@ -113,7 +119,7 @@ _PARK_LOCK = threading.Lock()
 
 @dataclass
 class ParallelConfig:
-    """Knobs of the parallel executor (all have sensible defaults).
+    """Knobs of the parallel executor (both have sensible defaults).
 
     Attributes
     ----------
@@ -123,25 +129,10 @@ class ParallelConfig:
     split_threshold:
         Components with more vertices than this are split one branch level
         deep into root-subtree shards (see :mod:`repro.parallel.sharding`).
-    poll_interval:
-        Branches between incumbent-channel polls inside a worker.  Smaller
-        values propagate incumbents faster but pay one shared-memory read
-        per interval.
-    chunks_per_split:
-        Number of shards an oversized component is split into
-        (default ``2 * workers``).
-    max_shard_retries:
-        How many times a failed shard is resubmitted to a (possibly
-        respawned) pool before the coordinator runs it serially in-process.
-        Shards are pure functions of the kernel snapshot, so a retry can
-        never change the answer — only recover it.
     """
 
     workers: int = 2
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD
-    poll_interval: int = 256
-    chunks_per_split: int | None = None
-    max_shard_retries: int = 2
 
 
 def _fork_context():
@@ -235,7 +226,6 @@ class ParallelMaxRFC(MaxRFC):
             incumbent_size=len(best),
             workers=workers,
             split_threshold=self.parallel.split_threshold,
-            chunks_per_split=self.parallel.chunks_per_split,
         )
         telemetry = dict(plan.summary())
         telemetry["workers"] = workers
@@ -274,7 +264,7 @@ class ParallelMaxRFC(MaxRFC):
         Control flow: submit every pending shard to a pool; a shard whose
         future raises (worker exception, or ``BrokenProcessPool`` after a
         worker died mid-flight) is retried on a fresh pool up to
-        ``max_shard_retries`` times, then executed serially in the
+        :data:`MAX_SHARD_RETRIES` times, then executed serially in the
         coordinator (shards are pure functions of the snapshot, so a rerun
         is always sound).  Retries never run past ``deadline`` — when the
         budget expires first, the completed shards are merged and the
@@ -314,32 +304,9 @@ class ParallelMaxRFC(MaxRFC):
             ordering=self.config.ordering,
             deadline=deadline,
             branch_limit=self.config.branch_limit,
-            poll_interval=self.parallel.poll_interval,
             seed_size=len(best),
         )
-        # Zero-copy ship: a words-backend snapshot is published once as a
-        # shared-memory segment and workers attach by name; ``payload``
-        # (with the real kernel) stays behind for the coordinator's serial
-        # fallback.  Any export failure just keeps the pickle path.
-        telemetry["kernel_backend"] = getattr(kernel, "backend", "int")
-        telemetry["shm_attach_fallbacks"] = 0
-        snapshot_ref = None
-        pool_payload = payload
-        if shm_module.shm_available() and isinstance(kernel, WordsGraphKernel):
-            swept = shm_module.sweep_stale_segments()
-            if swept:
-                telemetry["shm_segments_swept"] = len(swept)
-            try:
-                snapshot_ref = shm_module.export_snapshot(kernel)
-            except Exception as error:  # noqa: BLE001 - pickle path always works
-                telemetry["shm_attach_fallbacks"] += 1
-                telemetry["shm_error"] = f"{type(error).__name__}: {error}"
-            else:
-                pool_payload = dataclass_replace(
-                    payload, kernel=None, snapshot=snapshot_ref
-                )
-                telemetry["shm_bytes"] = snapshot_ref.total_bytes
-        telemetry["shm"] = snapshot_ref is not None
+        telemetry["kernel_backend"] = kernel.backend
         context = _fork_context()
         channel = context.Value("q", len(best)) if context is not None else None
         branch_counter = (
@@ -381,10 +348,9 @@ class ParallelMaxRFC(MaxRFC):
                     budget_stop = True
                     pending = []
                     break
-                results_before = len(results)
                 try:
                     failed, broke = self._run_batch(
-                        pending, pool_payload, context, channel,
+                        pending, payload, context, channel,
                         branch_counter, pool_size, attempts, results,
                         failures, on_result=persist,
                     )
@@ -401,21 +367,9 @@ class ParallelMaxRFC(MaxRFC):
                 pools_created += 1
                 if broke:
                     pool_breaks += 1
-                    if (
-                        pool_payload.snapshot is not None
-                        and len(results) == results_before
-                    ):
-                        # The pool died with shared memory in play before a
-                        # single shard finished — an attach failure in the
-                        # initializer looks exactly like this (it cannot
-                        # carry a typed exception through BrokenProcessPool).
-                        # Re-ship by pickle so the retry round cannot hit
-                        # the same wall twice.
-                        pool_payload = payload
-                        telemetry["shm_attach_fallbacks"] += 1
                 next_round: list[Shard] = []
                 for shard in failed:
-                    if attempts[shard.index] > self.parallel.max_shard_retries:
+                    if attempts[shard.index] > MAX_SHARD_RETRIES:
                         serial_queue.append(shard)
                     else:
                         retried.add(shard.index)
@@ -452,10 +406,6 @@ class ParallelMaxRFC(MaxRFC):
             # shared channel for the life of the process.
             if poller is not None:
                 poller.stop()
-            # The coordinator owns the segment: unlink as soon as no pool
-            # can still be attaching (workers that already attached keep
-            # their mapping until process exit — POSIX semantics).
-            shm_module.destroy_snapshot(snapshot_ref)
 
         aborted = False
         worker_seconds = 0.0
@@ -695,7 +645,6 @@ def solve_parallel(
     workers: int = 2,
     config: MaxRFCConfig | None = None,
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
-    poll_interval: int = 256,
 ) -> SearchResult:
     """Convenience wrapper: solve with the parallel executor.
 
@@ -703,9 +652,5 @@ def solve_parallel(
     the unified API reaches the same code through ``workers=N`` on a
     :class:`~repro.api.query.FairCliqueQuery`.
     """
-    parallel = ParallelConfig(
-        workers=workers,
-        split_threshold=split_threshold,
-        poll_interval=poll_interval,
-    )
+    parallel = ParallelConfig(workers=workers, split_threshold=split_threshold)
     return ParallelMaxRFC(config, parallel).solve(graph, k, delta)

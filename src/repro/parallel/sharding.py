@@ -7,7 +7,7 @@ component, except that components too large for one worker are split one
 branch level deep: the root candidate loop of the branch-and-bound
 decomposes into one independent subtree per root position (``R = {p}``,
 ``C =`` higher-ranked neighbours of ``p``), so the positions of an oversized
-component are dealt round-robin into ``chunks_per_split`` subtree tasks.
+component are dealt round-robin into ``max(2, 2 * workers)`` subtree tasks.
 
 Round-robin (rather than contiguous ranges) matters for load balance: the
 subtree rooted at position ``p`` only branches over candidates ranked above
@@ -76,7 +76,6 @@ def plan_shards(
     incumbent_size: int = 0,
     workers: int = 2,
     split_threshold: int = 96,
-    chunks_per_split: int | None = None,
 ) -> ShardPlan:
     """Plan the shard list for a compiled (reduced) kernel snapshot.
 
@@ -84,10 +83,10 @@ def plan_shards(
     too small to beat ``max(model.min_size, incumbent_size + 1)``, or
     lacking the model's per-attribute-value quota — and visited
     biggest-core-first so the pool starts the most promising work
-    immediately.  A component is split (into ``chunks_per_split``, default
-    ``2 * workers``, round-robin root-subtree shards) only when it is both
-    larger than ``split_threshold`` *and* too large to balance whole —
-    strictly more than a ``1/workers`` share of the surviving vertices.
+    immediately.  A component is split (into ``max(2, 2 * workers)``
+    round-robin root-subtree shards) only when it is both larger than
+    ``split_threshold`` *and* too large to balance whole — strictly more
+    than a ``1/workers`` share of the surviving vertices.
     Several similar-sized components already balance across the pool by
     themselves; splitting them would only multiply per-worker view
     construction.
@@ -134,8 +133,7 @@ def plan_shards(
             shards.append(Shard(len(shards), component_index, size))
             continue
         split += 1
-        chunks = chunks_per_split if chunks_per_split else max(2, 2 * workers)
-        chunks = min(chunks, size)
+        chunks = min(max(2, 2 * workers), size)
         buckets: list[list[int]] = [[] for _ in range(chunks)]
         # Deal descending positions round-robin: bucket i gets the i-th,
         # (i+chunks)-th, ... most expensive roots, keeping chunk costs even.

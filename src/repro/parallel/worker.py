@@ -1,21 +1,23 @@
 """Worker-side machinery of the parallel executor.
 
 Each pool worker is initialised exactly once with a :class:`WorkerPayload`
-(the compiled kernel snapshot plus the search parameters) — the kernel is
-pickled once per *worker*, never per shard.  From then on every shard the
-worker receives references the snapshot by component index; component views
-and orderings are built lazily and cached in the worker (the "fork-safe
-per-worker kernel cache"), so two shards of the same split component share
-one :class:`~repro.kernel.view.SubgraphView`.
+(the compiled kernel snapshot plus the search parameters).  Under the
+``fork`` start method the worker inherits the payload copy-on-write and
+nothing is pickled; where fork is absent the payload pickles once per
+*worker*, never per shard.  From then on every shard the worker receives
+references the snapshot by component index; component views and orderings
+are built lazily and cached in the worker (the "fork-safe per-worker kernel
+cache"), so two shards of the same split component share one
+:class:`~repro.kernel.view.SubgraphView`.
 
 The incumbent channel is a ``multiprocessing.Value`` holding the size of the
 best fair clique found anywhere.  It cannot be pickled into ``initargs``, so
 the parent parks it in :data:`_PARENT_CHANNEL` immediately before the pool
 forks and the children inherit it (fork start method only; without fork the
 executor simply runs without cross-shard tightening, which is slower but
-still exact).  Workers poll the channel every ``poll_interval`` branches and
-raise their local pruning threshold; they publish through ``on_improve``
-whenever they record a strictly larger clique.
+still exact).  Workers poll the channel every :data:`POLL_INTERVAL` branches
+and raise their local pruning threshold; they publish through
+``on_improve`` whenever they record a strictly larger clique.
 
 A shard that exhausts its time/branch budget raises internally, keeps the
 best clique it had found, and reports ``aborted=True`` — the coordinator
@@ -30,9 +32,11 @@ of the snapshot, which is what makes the coordinator's retry loop sound.
 
 from __future__ import annotations
 
+import signal
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
@@ -47,34 +51,32 @@ from repro.search.ordering import OrderingStrategy, compute_ordering
 from repro.search.statistics import SearchStats
 
 
+#: Branches between incumbent-channel polls inside a worker.  Smaller values
+#: propagate incumbents faster but pay one shared-value read per interval.
+POLL_INTERVAL = 256
+
+
 class ShardBudgetExceeded(Exception):
     """Internal signal: stop this shard, keep its incumbent."""
 
 
 @dataclass(frozen=True)
 class WorkerPayload:
-    """Everything a worker needs, shipped once through the pool initializer.
+    """Everything a worker needs, handed over once by the pool initializer.
 
     The :class:`~repro.models.base.ActiveModel` carries the fairness model
     bound to the original graph's attribute domain plus the resolved bound
     stack, so workers make exactly the same fairness decisions as the
     coordinator would — for every model, not just the binary ones.
-
-    When the coordinator ships the snapshot through shared memory instead
-    of pickling it, ``kernel`` is ``None`` and ``snapshot`` carries the
-    :class:`~repro.parallel.shm.SnapshotRef`; the initializer attaches and
-    swaps the rebuilt kernel in before any shard runs.
     """
 
-    kernel: GraphKernel | None
+    kernel: GraphKernel
     model: ActiveModel
     bound_depth: int
     ordering: OrderingStrategy
     deadline: Deadline
     branch_limit: int | None
-    poll_interval: int
     seed_size: int
-    snapshot: object | None = None
 
 
 @dataclass
@@ -97,24 +99,10 @@ _STATE: dict = {}
 
 
 def _init_worker(payload: WorkerPayload) -> None:
-    """Pool initializer: cache the payload and adopt the inherited channels.
-
-    A shared-memory payload carries no kernel — attach the published
-    snapshot (zero-copy) and rebuild the payload around it.  An attach
-    failure raises out of the initializer, which breaks the pool; the
-    coordinator classifies that as an shm fallback and re-ships by pickle.
-    """
+    """Pool initializer: cache the payload and adopt the inherited channels."""
     faults.mark_worker_process()
     faults.maybe_fire("worker.init")
     _STATE.clear()
-    if payload.kernel is None and payload.snapshot is not None:
-        from repro.parallel import shm as shm_module
-
-        kernel, segment = shm_module.attach_snapshot(payload.snapshot)
-        payload = replace(payload, kernel=kernel)
-        # Keep the mapping alive for the worker's lifetime; process exit
-        # closes it.  Unlinking stays with the exporting coordinator.
-        _STATE["shm_segment"] = segment
     _STATE["payload"] = payload
     _STATE["channel"] = _PARENT_CHANNEL
     _STATE["branch_counter"] = _PARENT_BRANCH_COUNTER
@@ -122,6 +110,28 @@ def _init_worker(payload: WorkerPayload) -> None:
     # Recursion can go as deep as the largest clique; give it headroom
     # (mirrors the serial search's guard, which runs in the coordinator).
     sys.setrecursionlimit(max(sys.getrecursionlimit(), payload.kernel.n + 1000))
+
+
+@contextmanager
+def _locked(shared):
+    """Hold ``shared``'s lock with SIGTERM deferred until it is released.
+
+    A breaking pool terminates its surviving workers.  One terminated while
+    holding a shared ``Value``'s lock would leave that lock taken for good,
+    and every later user — the coordinator's serial fallback, its channel
+    poller, the workers of a respawned pool — would block forever.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        with shared.get_lock():
+            yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _read(shared) -> int:
+    with _locked(shared):
+        return shared.value
 
 
 #: Cache key for the lazily-materialised dict graph inside a view cache.
@@ -175,7 +185,6 @@ def _make_budget_check(searcher: KernelBranchAndBound, payload: WorkerPayload,
     """
     deadline = payload.deadline
     branch_limit = payload.branch_limit
-    poll_interval = payload.poll_interval
 
     def check(stats: SearchStats) -> None:
         branches = stats.branches_explored
@@ -184,7 +193,7 @@ def _make_budget_check(searcher: KernelBranchAndBound, payload: WorkerPayload,
         if branch_limit is not None:
             if branch_counter is not None:
                 if branches % 64 == 0:
-                    with branch_counter.get_lock():
+                    with _locked(branch_counter):
                         branch_counter.value += branches - published[0]
                         total = branch_counter.value
                     published[0] = branches
@@ -192,8 +201,8 @@ def _make_budget_check(searcher: KernelBranchAndBound, payload: WorkerPayload,
                         raise ShardBudgetExceeded()
             elif branches > branch_limit:
                 raise ShardBudgetExceeded()
-        if channel is not None and branches % poll_interval == 0:
-            shared = channel.value
+        if channel is not None and branches % POLL_INTERVAL == 0:
+            shared = _read(channel)
             if shared > searcher.best_size:
                 searcher.best_size = shared
 
@@ -204,7 +213,7 @@ def _make_publisher(channel):
     """``on_improve`` hook: push a new incumbent size to the shared channel."""
 
     def publish(size: int) -> None:
-        with channel.get_lock():
+        with _locked(channel):
             if size > channel.value:
                 channel.value = size
 
@@ -252,7 +261,7 @@ def solve_shard(
     stats = SearchStats()
     best_size = payload.seed_size
     if channel is not None:
-        shared = channel.value
+        shared = _read(channel)
         if shared > best_size:
             best_size = shared
     searcher = KernelBranchAndBound(
@@ -287,7 +296,7 @@ def solve_shard(
         if branch_counter is not None and payload.branch_limit is not None:
             # Flush the unpublished tail so the global count stays exact
             # between shards.
-            with branch_counter.get_lock():
+            with _locked(branch_counter):
                 branch_counter.value += stats.branches_explored - published[0]
     return ShardResult(
         shard_index=shard.index,

@@ -11,7 +11,7 @@ clamp → query → session → solver → shard payload → retry decisions).
 Design notes
 ------------
 * The deadline is *absolute* (``CLOCK_MONOTONIC`` timestamp).  On Linux the
-  monotonic clock is machine-wide, so a :class:`Deadline` pickled into a
+  monotonic clock is machine-wide, so a :class:`Deadline` handed to a
   forked (or spawned, same host) worker still means the same instant —
   which is what lets the parallel executor's retry loop refuse to retry
   past the caller's budget.

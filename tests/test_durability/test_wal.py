@@ -14,13 +14,24 @@ from repro.durability import (
 from repro.resilience.faults import FaultPlan, fault_injection
 
 
-def make_log(tmp_path, **kwargs) -> WriteAheadLog:
-    return WriteAheadLog(tmp_path / "test.wal", name="test", **kwargs)
+@pytest.fixture
+def make_log(tmp_path):
+    """Open logs on ``tmp_path / "test.wal"``; all are closed on teardown."""
+    logs: list[WriteAheadLog] = []
+
+    def make(**kwargs) -> WriteAheadLog:
+        log = WriteAheadLog(tmp_path / "test.wal", name="test", **kwargs)
+        logs.append(log)
+        return log
+
+    yield make
+    for log in logs:
+        log.close()
 
 
 class TestAppendReplay:
-    def test_roundtrip_preserves_records_in_order(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_roundtrip_preserves_records_in_order(self, make_log):
+        log = make_log()
         for index in range(5):
             log.append("graph.put", {"id": f"g{index}"}, sync=True)
         log.close()
@@ -32,23 +43,23 @@ class TestAppendReplay:
         assert report.truncated_bytes == 0
         assert report.corrupt_records == 0
 
-    def test_lines_are_valid_json_with_checksum(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_lines_are_valid_json_with_checksum(self, make_log):
+        log = make_log()
         log.append("x", {"a": 1}, sync=True)
         log.close()
         (line,) = log.path.read_bytes().splitlines()
         record = json.loads(line)
         assert record["type"] == "x" and "crc" in record
 
-    def test_replay_of_missing_file_is_empty(self, tmp_path):
-        report = make_log(tmp_path).replay()
+    def test_replay_of_missing_file_is_empty(self, make_log):
+        report = make_log().replay()
         assert report.records == []
 
-    def test_records_count_tracks_appends_across_replay(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_records_count_tracks_appends_across_replay(self, make_log):
+        log = make_log()
         log.append("x", {}, sync=True)
         log.close()
-        fresh = make_log(tmp_path)
+        fresh = make_log()
         fresh.replay()
         assert fresh.records == 1
         fresh.append("x", {}, sync=True)
@@ -56,21 +67,21 @@ class TestAppendReplay:
 
 
 class TestFsyncBatching:
-    def test_unsynced_appends_batch_until_interval(self, tmp_path):
-        log = make_log(tmp_path, fsync_every=3)
+    def test_unsynced_appends_batch_until_interval(self, make_log):
+        log = make_log(fsync_every=3)
         log.append("x", {"i": 1})
         log.append("x", {"i": 2})
         assert log.fsyncs == 0
         log.append("x", {"i": 3})
         assert log.fsyncs == 1
 
-    def test_sync_true_forces_immediate_fsync(self, tmp_path):
-        log = make_log(tmp_path, fsync_every=100)
+    def test_sync_true_forces_immediate_fsync(self, make_log):
+        log = make_log(fsync_every=100)
         log.append("x", {}, sync=True)
         assert log.fsyncs == 1
 
-    def test_flush_drains_pending_batch(self, tmp_path):
-        log = make_log(tmp_path, fsync_every=100)
+    def test_flush_drains_pending_batch(self, make_log):
+        log = make_log(fsync_every=100)
         log.append("x", {})
         log.flush()
         assert log.fsyncs == 1
@@ -79,8 +90,8 @@ class TestFsyncBatching:
 
 
 class TestTornTail:
-    def test_torn_final_line_is_truncated_not_fatal(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_torn_final_line_is_truncated_not_fatal(self, make_log):
+        log = make_log()
         log.append("x", {"i": 1}, sync=True)
         log.append("x", {"i": 2}, sync=True)
         log.close()
@@ -95,8 +106,8 @@ class TestTornTail:
         assert len(again.records) == 2
         assert again.truncated_bytes == 0
 
-    def test_bad_checksum_stops_replay_at_first_bad_record(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_bad_checksum_stops_replay_at_first_bad_record(self, make_log):
+        log = make_log()
         for index in range(4):
             log.append("x", {"i": index}, sync=True)
         log.close()
@@ -110,8 +121,8 @@ class TestTornTail:
         assert report.corrupt_records == 1
         assert report.truncated_bytes > 0
 
-    def test_garbage_bytes_are_truncated(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_garbage_bytes_are_truncated(self, make_log):
+        log = make_log()
         log.append("x", {"i": 1}, sync=True)
         log.close()
         with open(log.path, "ab") as handle:
@@ -122,8 +133,8 @@ class TestTornTail:
 
 
 class TestRewrite:
-    def test_rewrite_replaces_contents_atomically(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_rewrite_replaces_contents_atomically(self, make_log):
+        log = make_log()
         for index in range(5):
             log.append("x", {"i": index}, sync=True)
         log.rewrite([("x", {"i": "only"})])
@@ -132,16 +143,16 @@ class TestRewrite:
         assert report.records[0]["data"] == {"i": "only"}
         assert not log.path.with_suffix(log.path.suffix + ".tmp").exists()
 
-    def test_truncate_empties_the_log(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_truncate_empties_the_log(self, make_log):
+        log = make_log()
         log.append("x", {}, sync=True)
         log.truncate()
         assert log.replay().records == []
 
 
 class TestFaultSeams:
-    def test_wal_append_fault_surfaces_as_wal_write_error(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_wal_append_fault_surfaces_as_wal_write_error(self, make_log):
+        log = make_log()
         plan = FaultPlan(specs=({"point": "wal.append", "action": "raise"},))
         with fault_injection(plan):
             with pytest.raises(WalWriteError):
@@ -151,8 +162,8 @@ class TestFaultSeams:
         log.append("x", {}, sync=True)
         assert log.records == 1
 
-    def test_wal_fsync_fault_surfaces_as_wal_write_error(self, tmp_path):
-        log = make_log(tmp_path)
+    def test_wal_fsync_fault_surfaces_as_wal_write_error(self, make_log):
+        log = make_log()
         plan = FaultPlan(specs=({"point": "wal.fsync", "action": "raise"},))
         with fault_injection(plan):
             with pytest.raises(WalWriteError):

@@ -15,10 +15,14 @@ so the suite itself is never at risk).
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+
 import pytest
 
 from repro.api import FairCliqueQuery, solve
 from repro.graph.generators import community_graph
+from repro.parallel import worker
 from repro.resilience import SolveCrashedError
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.search.verification import is_relative_fair_clique
@@ -81,6 +85,58 @@ class TestWorkerKillRecovery:
             report = solve(graph, _query("relative", 2))
         failures = report.metadata["parallel"]["shard_failures"]
         assert any("BrokenProcessPool" in message for message in failures.values())
+
+
+class TestInitializerKill:
+    """Workers die inside the pool initializer, before any shard runs."""
+
+    def test_kill_in_initializer_then_exact_parity(self):
+        graph = _graph()
+        serial = solve(graph, _query("relative", None))
+        plan = FaultPlan(specs=(FaultSpec(
+            point="worker.init", action="kill", times=2, scope="worker",
+        ),))
+        with fault_injection(plan):
+            report = solve(graph, _query("relative", 2))
+        assert report.size == serial.size
+        assert report.optimal
+        parallel = report.metadata["parallel"]
+        assert parallel["pool_breaks"] >= 1
+        assert not parallel["degraded"]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the fork start method is unavailable",
+)
+class TestTerminatedWorker:
+    """A broken pool SIGTERMs its surviving workers mid-search."""
+
+    def test_terminated_worker_releases_the_shared_lock_first(self):
+        """A worker caught holding the incumbent channel's lock must release
+        it before dying, or the serial fallback's next channel read blocks
+        forever."""
+        context = multiprocessing.get_context("fork")
+        channel = context.Value("q", 0)
+        here, there = context.Pipe()
+
+        def hold() -> None:
+            with worker._locked(channel):
+                there.send("holding")
+                there.recv()  # returns only after the SIGTERM was sent
+                channel.value = 7
+
+        child = context.Process(target=hold)
+        child.start()
+        assert here.poll(10) and here.recv() == "holding"
+        child.terminate()
+        here.send("go")
+        child.join(10)
+        assert child.exitcode == -signal.SIGTERM
+        lock = channel.get_lock()
+        assert lock.acquire(timeout=5)
+        lock.release()
+        assert channel.value == 7
 
 
 class TestWorkerExceptionRetry:

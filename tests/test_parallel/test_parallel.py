@@ -8,6 +8,8 @@ race is worker-order dependent), the size may not.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.api import FairCliqueQuery, query_grid, solve, solve_many
@@ -19,8 +21,10 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     quasi_clique_blobs,
 )
+from repro.kernel.compile import GraphKernel
 from repro.kernel.search import KernelBranchAndBound
 from repro.kernel.view import SubgraphView
+from repro.kernel.words import WordsGraphKernel
 from repro.models import make_model
 from repro.parallel import (
     ParallelConfig,
@@ -120,6 +124,33 @@ class TestDeterminismAcrossModelsAndWorkers:
         telemetry = result.stats.extra["parallel"]
         assert telemetry["components_split"] == 1
         assert telemetry["shards"] > 1
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the fork start method is unavailable",
+)
+class TestForkInheritance:
+    """The pool hands its payload over without pickling under fork."""
+
+    def test_workers_inherit_the_kernel_unpickled(self, monkeypatch):
+        """Pickling any kernel raises here, so a pool that tried to ship one
+        would break and the serial fallback would still answer: the zero
+        counters are what prove every shard ran in a worker."""
+        graph = _multi_component_graph()
+        serial = solve(graph, _query("relative", None))
+
+        def refuse(self):
+            raise AssertionError("a kernel was pickled")
+
+        monkeypatch.setattr(GraphKernel, "__getstate__", refuse)
+        monkeypatch.setattr(WordsGraphKernel, "__getstate__", refuse)
+        report = solve(graph, _query("relative", 2))
+        assert report.size == serial.size
+        parallel = report.metadata["parallel"]
+        assert parallel["serial_fallbacks"] == 0
+        assert parallel["shards_retried"] == 0
+        assert parallel["pool_breaks"] == 0
 
 
 class TestBudgetAborts:
