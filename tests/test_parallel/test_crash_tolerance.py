@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import FairCliqueQuery, solve
 from repro.graph.generators import community_graph
-from repro.parallel import worker
+from repro.parallel import executor, worker
 from repro.resilience import SolveCrashedError
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.search.verification import is_relative_fair_clique
@@ -172,6 +172,26 @@ class TestSerialFallback:
         assert report.optimal
         parallel = report.metadata["parallel"]
         assert parallel["serial_fallbacks"] >= 1
+        assert not parallel["degraded"]
+
+    def test_failing_shard_gets_max_shard_retries_pools_then_serial(self):
+        """A shard raising on every pool attempt runs in the first pool plus
+        one fresh pool per retry, then exactly once in the coordinator."""
+        graph = _graph()
+        serial = solve(graph, _query("relative", None))
+        plan = FaultPlan(specs=(FaultSpec(
+            point="shard.run", action="raise", when={"shard": 0},
+            times=None, scope="worker",
+        ),))
+        with fault_injection(plan):
+            report = solve(graph, _query("relative", 2))
+        assert report.size == serial.size
+        assert report.optimal
+        parallel = report.metadata["parallel"]
+        assert parallel["pool_respawns"] == executor.MAX_SHARD_RETRIES
+        assert parallel["shards_retried"] == 1
+        assert parallel["serial_fallbacks"] == 1
+        assert parallel["pool_breaks"] == 0
         assert not parallel["degraded"]
 
     def test_unrecoverable_shard_raises_solve_crashed(self):

@@ -9,6 +9,8 @@ race is worker-order dependent), the size may not.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -21,7 +23,8 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     quasi_clique_blobs,
 )
-from repro.kernel.compile import GraphKernel
+from repro.kernel.backend import ENV_VAR, available_backends
+from repro.kernel.compile import GraphKernel, compile_kernel
 from repro.kernel.search import KernelBranchAndBound
 from repro.kernel.view import SubgraphView
 from repro.kernel.words import WordsGraphKernel
@@ -29,9 +32,13 @@ from repro.models import make_model
 from repro.parallel import (
     ParallelConfig,
     ParallelMaxRFC,
+    WorkerPayload,
     plan_shards,
     solve_parallel,
 )
+from repro.parallel import executor as executor_module
+from repro.parallel.worker import solve_shard
+from repro.resilience.deadline import Deadline
 from repro.search.maxrfc import MaxRFC, build_search_config
 from repro.search.statistics import SearchStats
 from repro.search.verification import is_relative_fair_clique
@@ -153,6 +160,89 @@ class TestForkInheritance:
         assert parallel["pool_breaks"] == 0
 
 
+def _counting_spawn_context(started: list):
+    """A ``spawn`` context that records every process it creates."""
+    spawn = multiprocessing.get_context("spawn")
+
+    class CountingSpawnContext(type(spawn)):
+        def Process(self, *args, **kwargs):
+            started.append(None)
+            return spawn.Process(*args, **kwargs)
+
+    return CountingSpawnContext()
+
+
+class TestPickledPayload:
+    """Without fork the payload reaches each worker by pickle."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_unpickled_payload_solves_every_shard_identically(self, backend):
+        """The clone must run the very same search: same clique and same
+        branch count per shard, on every kernel backend."""
+        graph = _multi_component_graph()
+        kernel = compile_kernel(graph, backend)
+        model = _active(graph)
+        plan = plan_shards(kernel, model, workers=2)
+        config = build_search_config()
+        payload = WorkerPayload(
+            kernel=kernel,
+            model=model,
+            bound_depth=config.bound_depth,
+            ordering=config.ordering,
+            deadline=Deadline.unbounded(),
+            branch_limit=None,
+            seed_size=0,
+        )
+        clone = pickle.loads(pickle.dumps(payload))
+        assert type(clone.kernel) is type(kernel)
+        assert clone.kernel.backend == backend
+        for shard in plan.shards:
+            ours = solve_shard(payload, shard, views={})
+            theirs = solve_shard(clone, shard, views={})
+            assert theirs.clique == ours.clique, shard
+            assert (
+                theirs.stats.branches_explored == ours.stats.branches_explored
+            ), shard
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_spawned_workers_get_one_pickled_kernel_each(
+        self, backend, monkeypatch
+    ):
+        """Emulate a platform without fork: no incumbent channel, and a
+        ``spawn`` pool whose workers can only receive the kernel by pickle.
+        Every shard must still run in a worker, and the kernel must be
+        pickled exactly once per worker process started."""
+        monkeypatch.setenv(ENV_VAR, backend)
+        graph = _multi_component_graph()
+        serial = solve(graph, _query("relative", None))
+        pickled: list[str] = []
+        for cls in (GraphKernel, WordsGraphKernel):
+            def counting(self, _original=cls.__getstate__):
+                pickled.append(type(self).__name__)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "__getstate__", counting)
+        started: list = []
+        context = _counting_spawn_context(started)
+
+        def spawn_pool(*args, mp_context=None, **kwargs):
+            return ProcessPoolExecutor(*args, mp_context=context, **kwargs)
+
+        monkeypatch.setattr(executor_module, "_fork_context", lambda: None)
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", spawn_pool)
+        report = solve(graph, _query("relative", 2))
+        assert report.size == serial.size
+        assert report.optimal
+        parallel = report.metadata["parallel"]
+        assert parallel["kernel_backend"] == backend
+        assert parallel["incumbent_channel"] is False
+        assert parallel["serial_fallbacks"] == 0
+        assert parallel["shards_retried"] == 0
+        assert parallel["pool_breaks"] == 0
+        assert 1 <= len(started) <= parallel["pool_size"]
+        assert len(pickled) == len(started)
+
+
 class TestBudgetAborts:
     def test_branch_budget_returns_partial_result_with_aborted_flag(self):
         background = erdos_renyi_graph(0, 0.0)
@@ -233,6 +323,28 @@ class TestShardPlanning:
                 shard.root_positions, reverse=True
             )
         assert sorted(positions) == list(range(30))
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_oversized_component_splits_two_shards_per_worker(self, workers):
+        graph = community_graph(1, 30, intra_probability=0.5,
+                                inter_edges=0, seed=3)
+        plan = plan_shards(graph.compile(), _active(graph), workers=workers,
+                           split_threshold=10)
+        assert plan.components_split == 1
+        assert len(plan.shards) == 2 * workers
+        assert all(shard.root_positions for shard in plan.shards)
+
+    def test_split_never_deals_fewer_than_one_root_per_shard(self):
+        """A component smaller than ``2 * workers`` splits into one shard
+        per root position rather than into empty shards."""
+        graph = community_graph(1, 12, intra_probability=0.7,
+                                inter_edges=0, seed=3)
+        plan = plan_shards(graph.compile(), _active(graph), workers=8,
+                           split_threshold=4)
+        assert plan.components_split == 1
+        assert sorted(shard.root_positions for shard in plan.shards) == [
+            (position,) for position in range(12)
+        ]
 
     def test_balanced_components_stay_whole(self):
         """Equal components at pool size balance by themselves — no split."""
