@@ -8,13 +8,7 @@ Seven suites share this driver:
   the compiled bitset kernel (:mod:`repro.kernel.bounds`) and once through
   the reference bounds in :mod:`repro.bounds`, and writes median wall-clock
   numbers plus the speedup to ``benchmarks/results/BENCH_kernel.json``.
-  End-to-end solve numbers come from ``perfbench/run.py``.  It then sweeps
-  the backend *scaling axis* (n ∈ {2k, 10k, 50k, 200k} full, {10k} smoke),
-  timing each kernel primitive — mask construction, frontier row unions,
-  attribute popcounts, and the pickle ship — on every available backend
-  (int / words / numpy) and recording the ``words_vs_int`` and
-  ``numpy_vs_words`` speedup medians; ``--check`` additionally gates
-  ``words_vs_int_speedup`` at an absolute x1.00 floor.
+  End-to-end solve numbers come from ``perfbench/run.py``.
 * ``--suite parallel`` runs a multi-component grid through the serial
   kernel search and the component-sharded parallel executor
   (``--workers N``), and writes serial/parallel wall-clock, speedups, and
@@ -92,7 +86,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import platform
 import random
 import shutil
@@ -112,12 +105,9 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     powerlaw_cluster_graph,
     quasi_clique_blobs,
-    uniform_random_graph,
 )
 from repro.incremental import patch_kernel
-from repro.kernel import available_backends, compile_kernel
-from repro.kernel.backend import BACKEND_INT, BACKEND_WORDS
-from repro.kernel.bitops import bits_list, mask_from_indices, mask_from_indices_wide
+from repro.kernel import compile_kernel
 from repro.kernel.bounds import stack_evaluate
 from repro.kernel.view import SubgraphView
 from repro.models import make_model
@@ -143,9 +133,6 @@ CHECK_KEYS = {
     DURABILITY_SCHEMA: "durability_speedup",
     INCREMENTAL_SCHEMA: "incremental_speedup",
 }
-#: The kernel suite additionally gates this medians key at an absolute floor:
-#: the words backend must not be slower than int on the scaling grid.
-WORDS_FLOOR_KEY = "words_vs_int_speedup"
 
 
 def full_grid():
@@ -783,180 +770,6 @@ def bench_bounds(graph, k, delta, repeats):
     }
 
 
-#: Attribute domain for the scaling cells.  Eight values keep the attribute
-#: block wide enough that the vectorised ``attr_counts`` has real work per
-#: call instead of timing numpy dispatch overhead.
-SCALING_ATTRS = "abcdefgh"
-
-#: The primitives whose int-vs-words ratios feed the cell speedup median.
-#: ``compile_s`` is recorded but deliberately excluded: building the dense
-#: byte buffer costs more than int's shifted ORs (which are memcpy-speed C),
-#: so compile is a documented one-time tax the ship/solve wins repay.
-SCALING_PRIMITIVES = ("make_mask", "union_rows", "attr_counts",
-                      "pickle_roundtrip")
-
-#: The primitives numpy actually overrides; everything else is the words
-#: path, so a numpy-vs-words ratio there would measure noise.
-NUMPY_PRIMITIVES = ("union_rows", "attr_counts")
-
-
-def scaling_grid(mode):
-    """(name, n, m, adjacency_primitives) cells for the kernel scaling axis.
-
-    The dense word buffer is O(n²/8) bytes — ~5 GB at n=200k — so the widest
-    cell skips kernel compilation entirely and times only the
-    mask-construction primitive, which is exactly the regime the wide-mask
-    byte-scan paths in :mod:`repro.kernel.bitops` exist for.
-    """
-    if mode == "smoke":
-        return [("n10k", 10_000, 120_000, True)]
-    return [
-        ("n2k", 2_000, 24_000, True),
-        ("n10k", 10_000, 120_000, True),
-        ("n50k", 50_000, 600_000, True),
-        ("n200k", 200_000, 2_400_000, False),
-    ]
-
-
-def _scaling_graph(n, m):
-    return uniform_random_graph(
-        n, m, seed=3,
-        assigner=lambda rng, v: SCALING_ATTRS[v % len(SCALING_ATTRS)],
-    )
-
-
-def _time_loop(fn, inner, repeats):
-    """Median seconds per call of ``fn`` over ``inner`` calls × ``repeats``."""
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter() - started) / inner)
-    return median_of(samples)
-
-
-def bench_kernel_scaling(n, m, adjacency_primitives, repeats):
-    """Per-backend wall-clock of the kernel primitives at one (n, m) cell.
-
-    Every primitive is asserted result-identical across backends before its
-    ratio counts, so the scaling axis doubles as a wide-graph parity check.
-    The cell speedups are medians of per-primitive ratios:
-    ``words_vs_int`` over :data:`SCALING_PRIMITIVES`, ``numpy_vs_words``
-    over :data:`NUMPY_PRIMITIVES` (absent without numpy).
-    """
-    rng = random.Random(11)
-    sample = rng.sample(range(n), max(1, n // 10))
-    frontiers = [
-        sum(1 << i for i in rng.sample(range(n), 40)) for _ in range(8)
-    ]
-    sample_mask = mask_from_indices_wide(sample, n)
-    cell = {"backends": {}, "sparse_bits_list_s": _time_loop(
-        lambda: bits_list(frontiers[0]), 200, repeats,
-    )}
-
-    if not adjacency_primitives:
-        # Mask construction only: int's O(k · words) accumulation against
-        # the byte-scratch O(k + words) path the words backends use.
-        timings = {
-            BACKEND_INT: _time_loop(
-                lambda: mask_from_indices(sample), 5, repeats),
-            BACKEND_WORDS: _time_loop(
-                lambda: mask_from_indices_wide(sample, n), 5, repeats),
-        }
-        if mask_from_indices(sample) != sample_mask:
-            raise AssertionError("wide mask construction parity violated")
-        for backend, seconds in timings.items():
-            cell["backends"][backend] = {"make_mask_s": seconds}
-        cell["words_vs_int_speedup"] = (
-            timings[BACKEND_INT] / max(timings[BACKEND_WORDS], 1e-12)
-        )
-        return cell
-
-    graph = _scaling_graph(n, m)
-    inner = max(1, 20_000 // n)
-    kernels = {}
-    for backend in available_backends():
-        compile_s = _time_loop(
-            lambda: kernels.__setitem__(backend, compile_kernel(graph, backend)),
-            1, repeats,
-        )
-        kernel = kernels[backend]
-        ops = kernel.ops
-        for frontier in frontiers:  # materialise the lazy row caches once,
-            ops.union_rows(frontier)  # as a long-lived worker would
-        blob = pickle.dumps(kernel)
-        timings = {
-            "compile_s": compile_s,
-            "make_mask_s": _time_loop(
-                lambda: ops.make_mask(sample), 5 * inner, repeats),
-            "union_rows_s": _time_loop(
-                lambda: [ops.union_rows(f) for f in frontiers],
-                2 * inner, repeats,
-            ) / len(frontiers),
-            "attr_counts_s": _time_loop(
-                lambda: ops.attr_counts(sample_mask), 10 * inner, repeats),
-            "pickle_roundtrip_s": _time_loop(
-                lambda: pickle.loads(pickle.dumps(kernel)), 1, repeats),
-            "pickle_bytes": len(blob),
-        }
-        cell["backends"][backend] = timings
-
-    reference = kernels[BACKEND_INT]
-    for backend, kernel in kernels.items():
-        if (kernel.ops.make_mask(sample) != sample_mask
-                or [kernel.ops.union_rows(f) for f in frontiers]
-                != [reference.ops.union_rows(f) for f in frontiers]
-                or kernel.ops.attr_counts(sample_mask)
-                != reference.ops.attr_counts(sample_mask)):
-            raise AssertionError(
-                f"scaling-cell primitive parity violated on {backend!r}"
-            )
-
-    int_t = cell["backends"][BACKEND_INT]
-    words_t = cell["backends"][BACKEND_WORDS]
-    cell["words_vs_int_speedup"] = median_of([
-        int_t[f"{p}_s"] / max(words_t[f"{p}_s"], 1e-12)
-        for p in SCALING_PRIMITIVES
-    ])
-    if "numpy" in cell["backends"]:
-        numpy_t = cell["backends"]["numpy"]
-        cell["numpy_vs_words_speedup"] = median_of([
-            words_t[f"{p}_s"] / max(numpy_t[f"{p}_s"], 1e-12)
-            for p in NUMPY_PRIMITIVES
-        ])
-    return cell
-
-
-def run_scaling_axis(mode: str, repeats: int) -> tuple[list, dict]:
-    """The n-scaling cells + their suite-level median speedups."""
-    cells = []
-    for name, n, m, adjacency in scaling_grid(mode):
-        print(f"[bench] scaling {name}: n={n} m={m} "
-              f"backends={','.join(available_backends())}"
-              f"{'' if adjacency else ' (mask ops only)'}", flush=True)
-        cell = {"name": name, "n": n, "m": m,
-                "adjacency_primitives": adjacency,
-                **bench_kernel_scaling(n, m, adjacency, repeats)}
-        line = f"        words-vs-int x{cell['words_vs_int_speedup']:.2f}"
-        if "numpy_vs_words_speedup" in cell:
-            line += f"  numpy-vs-words x{cell['numpy_vs_words_speedup']:.2f}"
-        print(line, flush=True)
-        cells.append(cell)
-    medians = {
-        WORDS_FLOOR_KEY: median_of(
-            [cell["words_vs_int_speedup"] for cell in cells]
-        ),
-    }
-    numpy_ratios = [
-        cell["numpy_vs_words_speedup"]
-        for cell in cells if "numpy_vs_words_speedup" in cell
-    ]
-    if numpy_ratios:
-        medians["numpy_vs_words_speedup"] = median_of(numpy_ratios)
-    return cells, medians
-
-
 def bench_parallel(graph, model_name, k, delta, repeats, workers):
     """Median search seconds serial vs parallel + exact result parity.
 
@@ -995,7 +808,6 @@ def bench_parallel(graph, model_name, k, delta, repeats, workers):
         "components_searched": telemetry.get("components_searched", 0),
         "components_split": telemetry.get("components_split", 0),
         "incumbent_channel": telemetry.get("incumbent_channel", False),
-        "kernel_backend": telemetry.get("kernel_backend", "unknown"),
     }
 
 
@@ -1246,7 +1058,7 @@ def run_parallel(mode: str, repeats: int, workers: int) -> dict:
         }
         print(f"        serial {cell['serial_s']:.3f}s  "
               f"parallel {cell['parallel_s']:.3f}s  x{cell['speedup']:.2f}  "
-              f"shards={cell['shards']}  backend={cell['kernel_backend']}",
+              f"shards={cell['shards']}",
               flush=True)
         cells.append(cell)
     medians = {
@@ -1287,17 +1099,13 @@ def run(mode: str, repeats: int) -> dict:
         f"bounds_{field}": median_of([cell["bounds"][field] for cell in cells])
         for field in ("kernel_s", "dict_s", "speedup")
     }
-    scaling_cells, scaling_medians = run_scaling_axis(mode, repeats)
-    medians.update(scaling_medians)
     return {
         "schema": SCHEMA,
         "mode": mode,
         "repeats": repeats,
-        "kernel_backends": list(available_backends()),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cells": cells,
-        "scaling": scaling_cells,
         "medians": medians,
     }
 
@@ -1340,17 +1148,6 @@ def check_against_baseline(report: dict, baseline_path: Path, tolerance: float) 
         print("[check] FAIL: warm mutate→re-solve is slower than the cold "
               "path (floor x1.00)", file=sys.stderr)
         return 1
-    if report["schema"] == SCHEMA:
-        # Absolute gate, not baseline-relative: the words backend must be
-        # at least as fast as int (median over the scaling primitives) or
-        # the fixed-width layout has stopped paying for itself.
-        words_ratio = report["medians"][WORDS_FLOOR_KEY]
-        print(f"[check] median {WORDS_FLOOR_KEY}: x{words_ratio:.2f} "
-              f"(floor x1.00)")
-        if words_ratio < 1.0:
-            print(f"[check] FAIL: the words backend is slower than int on "
-                  f"the scaling grid", file=sys.stderr)
-            return 1
     print("[check] OK")
     return 0
 
@@ -1361,8 +1158,8 @@ def main(argv=None) -> int:
                         choices=("kernel", "parallel", "session", "service",
                                  "chaos", "durability", "incremental"),
                         default="kernel",
-                        help="kernel-vs-reference ubAD bounds + the backend "
-                             "scaling axis, serial-vs-parallel search, cold-vs-warm "
+                        help="kernel-vs-reference ubAD bounds, "
+                             "serial-vs-parallel search, cold-vs-warm "
                              "session caching, the HTTP service tier "
                              "(cold/warm/result-cached), the fault-hook "
                              "overhead check, the WAL-on-vs-off + "

@@ -158,13 +158,9 @@ class QueryPlan:
     kernel_ready: bool
     shard_plan: dict | None
     notes: tuple[str, ...] = ()
-    #: Storage backend a compile would use right now (``int``/``words``/
-    #: ``numpy`` — resolved against ``REPRO_KERNEL_BACKEND`` and numpy
-    #: availability at explain time).
-    kernel_backend: str = "int"
     #: Provenance of the graph's current kernel snapshot: ``"compiled"``
     #: (from scratch), ``"patched"`` (delta-spliced from a previous kernel),
-    #: or ``None`` when nothing is compiled for the resolved backend yet.
+    #: or ``None`` when nothing is compiled yet.
     kernel_origin: str | None = None
     #: Number of mutation batches folded into the kernel by patching
     #: (0 for a from-scratch compile).
@@ -187,7 +183,6 @@ class QueryPlan:
             "reduction_stages": list(self.reduction_stages),
             "bound_stack": None if self.bound_stack is None else list(self.bound_stack),
             "bound_stack_substituted": self.bound_stack_substituted,
-            "kernel_backend": self.kernel_backend,
             "kernel_origin": self.kernel_origin,
             "kernel_deltas": self.kernel_deltas,
             "workers": self.workers,
@@ -211,7 +206,11 @@ class QueryPlan:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QueryPlan":
-        """Rebuild a plan from :meth:`to_wire` output."""
+        """Rebuild a plan from :meth:`to_wire` output.
+
+        Keys this plan does not carry, such as the kernel storage name that
+        older servers sent, are ignored.
+        """
         substituted = payload.get("bound_stack_substituted")
         return cls(
             query=FairCliqueQuery.from_wire(payload["query"]),
@@ -228,7 +227,6 @@ class QueryPlan:
             bound_stack_substituted=(
                 None if substituted is None else dict(substituted)
             ),
-            kernel_backend=payload.get("kernel_backend", "int"),
             kernel_origin=payload.get("kernel_origin"),
             kernel_deltas=payload.get("kernel_deltas", 0),
             workers=payload["workers"],
@@ -271,7 +269,7 @@ class QueryPlan:
                 else ""
             ),
             f"bounds     {' + '.join(self.bound_stack) if self.bound_stack else '(none)'}",
-            f"kernel     bitset/CSR ({self.kernel_backend})"
+            "kernel     bitset/CSR"
             + (
                 "  [compiled]"
                 if self.kernel_ready and self.kernel_origin != "patched"
@@ -799,12 +797,10 @@ class FairCliqueSession:
         query = self._make_query(query, fields)
         engine = self._registry.resolve(query)
         validate_task(query)
-        from repro.kernel.backend import resolve_backend
         from repro.models import make_model
 
         workers = query.workers or 1
         notes: list[str] = []
-        kernel_backend = resolve_backend()
         provenance = self.graph.kernel_provenance()
         kernel_origin = None if provenance is None else provenance.get("origin")
         kernel_deltas = 0 if provenance is None else provenance.get("deltas", 0)
@@ -833,7 +829,6 @@ class FairCliqueSession:
                 reduction_cached=False,
                 kernel_ready=self.graph.kernel_ready,
                 shard_plan=None,
-                kernel_backend=kernel_backend,
                 kernel_origin=kernel_origin,
                 kernel_deltas=kernel_deltas,
                 notes=tuple(notes),
@@ -893,7 +888,6 @@ class FairCliqueSession:
                 ),
                 kernel_ready=kernel_ready,
                 shard_plan=shard_plan,
-                kernel_backend=kernel_backend,
                 kernel_origin=kernel_origin,
                 kernel_deltas=kernel_deltas,
                 notes=tuple(notes),
@@ -924,7 +918,6 @@ class FairCliqueSession:
             reduction_cached=False,
             kernel_ready=self.graph.kernel_ready,
             shard_plan=None,
-            kernel_backend=kernel_backend,
             kernel_origin=kernel_origin,
             kernel_deltas=kernel_deltas,
             notes=tuple(notes),

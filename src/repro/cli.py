@@ -28,7 +28,6 @@ reduction run), ``enumerate`` lazily lists every maximal fair clique, and
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Sequence
 
@@ -79,10 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="disable the reduction pipeline (exact engine)")
     solve_cmd.add_argument("--time-limit", type=float, default=None,
                            help="seconds before giving up")
-    solve_cmd.add_argument("--kernel-backend", default=None,
-                           choices=("int", "words", "numpy"),
-                           help="kernel storage backend (default: auto — "
-                                "numpy when installed, else words)")
     solve_cmd.add_argument("--search-workers", type=int, default=None,
                            help="process-pool size for the component-sharded "
                                 "parallel search (exact engine, every model)")
@@ -129,9 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("-k", type=int, required=True)
     explain_cmd.add_argument("-d", "--delta", type=int, default=None)
     explain_cmd.add_argument("--bound", default=None, choices=list(stack_names()) + ["none"])
-    explain_cmd.add_argument("--kernel-backend", default=None,
-                             choices=("int", "words", "numpy"),
-                             help="kernel storage backend to plan against")
     explain_cmd.add_argument("--search-workers", type=int, default=None)
     explain_cmd.add_argument("--warm", action="store_true",
                              help="solve the query once first, so the plan "
@@ -268,25 +260,7 @@ def _print_report(graph, report, report_path: str | None = None) -> None:
     _print_clique_body(graph, report, report_path)
 
 
-def _apply_kernel_backend(args: argparse.Namespace) -> None:
-    """Install ``--kernel-backend`` as the process-wide backend override.
-
-    Setting the environment variable (rather than threading a parameter
-    through every layer) makes the choice reach each ``graph.compile()`` on
-    the query path *and* any forked pool workers.  Validation happens here
-    so a ``numpy`` request without numpy fails as a clean CLI error.
-    """
-    backend = getattr(args, "kernel_backend", None)
-    if backend is None:
-        return
-    from repro.kernel.backend import ENV_VAR, resolve_backend
-
-    resolve_backend(backend)
-    os.environ[ENV_VAR] = backend
-
-
 def _command_solve(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args)
     graph = _load_graph(args)
     # Exact-only flags are passed through for every engine: the engine's own
     # option validation rejects ones it does not understand, instead of the
@@ -408,7 +382,6 @@ def _command_enumerate(args: argparse.Namespace) -> int:
 
 
 def _command_explain(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args)
     graph = _load_graph(args)
     options = _exact_options(args)
     query = FairCliqueQuery(

@@ -78,11 +78,11 @@ class AttributedGraph:
         self._labels: dict[Vertex, str] = {}
         self._num_edges = 0
         self._version = 0
-        self._kernel: dict = {}
+        self._kernel = None
         self._kernel_version = -1
-        self._kernel_base: Optional[tuple[int, dict]] = None
+        self._kernel_base: Optional[tuple] = None
         self._kernel_stats = {"compiled": 0, "patched": 0}
-        self._kernel_provenance: dict[str, dict] = {}
+        self._kernel_provenance: Optional[dict] = None
         self._journal: Optional[DeltaJournal] = None
         self._batch: Optional[list] = None
         if vertices is not None:
@@ -347,64 +347,56 @@ class AttributedGraph:
         """
         return self._version
 
-    def compile(self, backend: Optional[str] = None):
+    def compile(self):
         """Return the frozen :class:`~repro.kernel.compile.GraphKernel` snapshot.
 
         This is the freeze boundary between the mutable builder world and the
         integer/bitset kernel the algorithms run on: build or mutate the graph
         freely, then ``compile()`` once and hand the snapshot to the hot
-        paths.  Snapshots are memoized per storage backend (``int``,
-        ``words``, ``numpy`` — see :mod:`repro.kernel.backend` for the
-        selection precedence when ``backend`` is omitted) and recompiled
-        only after a mutation, so repeated calls between mutations are
-        free; a snapshot never tracks later mutations — call ``compile()``
-        again after changing the graph.
+        paths.  The snapshot is memoized and rebuilt only after a mutation
+        (by patching the stale one when the journal covers the gap), so
+        repeated calls between mutations are free; a snapshot never tracks
+        later mutations — call ``compile()`` again after changing the graph.
         """
-        from repro.kernel.backend import resolve_backend
         from repro.kernel.compile import compile_kernel
 
-        chosen = resolve_backend(backend)
         if self._kernel_version != self._version:
-            if self._kernel:
-                # Keep the stale snapshots around: with a journal delta that
-                # covers the gap they are patchable instead of garbage.
+            if self._kernel is not None:
+                # Keep the stale snapshot around: with a journal delta that
+                # covers the gap it is patchable instead of garbage.
                 self._kernel_base = (self._kernel_version, self._kernel)
-            self._kernel = {}
+            self._kernel = None
             self._kernel_version = self._version
         if self._journal is None:
             self._journal = DeltaJournal()
-        kernel = self._kernel.get(chosen)
-        if kernel is None:
-            kernel = self._patched_kernel(chosen)
+        if self._kernel is None:
+            kernel = self._patched_kernel()
             if kernel is None:
-                kernel = compile_kernel(self, chosen)
+                kernel = compile_kernel(self)
                 self._kernel_stats["compiled"] += 1
-                self._kernel_provenance[chosen] = {
+                self._kernel_provenance = {
                     "origin": "compiled",
                     "deltas": 0,
                     "ops": 0,
                     "base_version": self._version,
                 }
-            self._kernel[chosen] = kernel
-        return kernel
+            self._kernel = kernel
+        return self._kernel
 
-    def _patched_kernel(self, chosen: str):
+    def _patched_kernel(self):
         """Patch the stale snapshot to the current version, or ``None``.
 
-        Requires (a) a stale kernel for the requested backend, (b) a
-        contiguous journal delta covering the version gap, and (c) the
-        patch-vs-recompile heuristic to favour patching: the delta must
-        touch at most half the graph (``2·|touched| <= n``).  Beyond that,
-        rebuilding every touched row costs as much as a fresh compile and
-        the remap bookkeeping is pure overhead.
+        Requires (a) a stale kernel, (b) a contiguous journal delta covering
+        the version gap, and (c) the patch-vs-recompile heuristic to favour
+        patching: the delta must touch at most half the graph
+        (``2·|touched| <= n``).  Beyond that, rebuilding every touched row
+        costs as much as a fresh compile and the remap bookkeeping is pure
+        overhead.
         """
         base = self._kernel_base
         if base is None:
             return None
-        base_version, stale = base
-        old = stale.get(chosen)
-        if old is None:
-            return None
+        base_version, old = base
         delta = self.delta_since(base_version)
         if delta is None or delta.is_empty:
             return None
@@ -415,7 +407,7 @@ class AttributedGraph:
 
         kernel = patch_kernel(old, self, delta)
         self._kernel_stats["patched"] += 1
-        self._kernel_provenance[chosen] = {
+        self._kernel_provenance = {
             "origin": "patched",
             "deltas": delta.batches,
             "ops": len(delta.ops),
@@ -427,16 +419,14 @@ class AttributedGraph:
         """Counters of full compiles vs delta patches performed by this graph."""
         return dict(self._kernel_stats)
 
-    def kernel_provenance(self, backend: Optional[str] = None) -> Optional[dict]:
-        """How the memoized snapshot for ``backend`` was produced.
+    def kernel_provenance(self) -> Optional[dict]:
+        """How the most recent snapshot was produced.
 
         ``{"origin": "compiled"|"patched", "deltas": <batches folded in>,
         "ops": <mutation ops applied>, "base_version": <patch base>}`` —
-        or ``None`` when no snapshot has been built for that backend yet.
+        or ``None`` when no snapshot has been built yet.
         """
-        from repro.kernel.backend import resolve_backend
-
-        info = self._kernel_provenance.get(resolve_backend(backend))
+        info = self._kernel_provenance
         return dict(info) if info is not None else None
 
     def freeze(self):
@@ -447,11 +437,11 @@ class AttributedGraph:
     def kernel_ready(self) -> bool:
         """True when a compiled kernel for the *current* version is memoized.
 
-        Purely observational — it never triggers a compile (any backend's
-        snapshot counts).  Query planning (``session.explain``) uses it to
-        report whether a query would reuse the snapshot or pay the compile.
+        Purely observational — it never triggers a compile.  Query planning
+        (``session.explain``) uses it to report whether a query would reuse
+        the snapshot or pay the compile.
         """
-        return bool(self._kernel) and self._kernel_version == self._version
+        return self._kernel is not None and self._kernel_version == self._version
 
     # ------------------------------------------------------------------ #
     # Derived graphs
@@ -501,11 +491,11 @@ class AttributedGraph:
     def __setstate__(self, state) -> None:
         self._adj, self._attr, self._labels, self._num_edges = state
         self._version = 0
-        self._kernel = {}
+        self._kernel = None
         self._kernel_version = -1
         self._kernel_base = None
         self._kernel_stats = {"compiled": 0, "patched": 0}
-        self._kernel_provenance = {}
+        self._kernel_provenance = None
         self._journal = None
         self._batch = None
 

@@ -5,8 +5,8 @@ The subsystem has three layers, stacked on the freeze boundary:
 * :mod:`repro.incremental.delta` — :class:`GraphDelta` op logs and the
   bounded :class:`DeltaJournal` the graph substrate records them into;
 * :mod:`repro.incremental.patch` — ``kernel.patch(delta, graph)``: splice a
-  compiled :class:`~repro.kernel.compile.GraphKernel` (any backend) to the
-  mutated graph instead of recompiling from scratch;
+  compiled :class:`~repro.kernel.compile.GraphKernel` to the mutated graph
+  instead of recompiling from scratch;
 * :mod:`repro.incremental.reduce` — component-scoped refresh of memoized
   reduction pipelines: only delta-touched components are re-peeled, the
   survivors of untouched components are reused verbatim.

@@ -6,16 +6,15 @@ mutated* source) by reusing everything the delta provably did not touch in
 ``old`` (the snapshot compiled before the mutations).  The delta supplies the
 *invalidation footprint* — which vertices were touched — while all truth is
 read back from the graph itself, so composing/patching can never produce a
-torn snapshot: the result is observably identical to ``compile_kernel(graph,
-backend)``, which the test-suite uses as the parity oracle.
+torn snapshot: the result is observably identical to
+``compile_kernel(graph)``, which the test-suite uses as the parity oracle.
 
 Two regimes:
 
 * **Same-index splice** — the vertex ordering and attribute domain are
   unchanged (edge churn, attribute/label resets).  Untouched adjacency rows
-  are shared by reference (``int`` backend) or memcpy'd wholesale (``words``
-  buffer copy); only touched rows are rebuilt, and the CSR arrays are
-  re-spliced around them.
+  are shared by reference; only touched rows are rebuilt, and the CSR
+  arrays are re-spliced around them.
 * **Index remap** — vertices were inserted/deleted (or the attribute value
   set changed), so the deterministic sorted-by-``str`` renumbering shifts.
   Surviving indices partition into maximal runs of constant offset, and each
@@ -31,7 +30,6 @@ computed its components), the partition is provably unchanged.
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING
 
 from repro.incremental.delta import GraphDelta
@@ -45,15 +43,15 @@ def patch_kernel(old: "GraphKernel", graph: "AttributedGraph", delta: GraphDelta
     """Return a kernel for ``graph`` spliced from ``old`` using ``delta``.
 
     ``old`` must be a snapshot of the graph as it was at
-    ``delta.base_version``; the result carries ``old``'s storage backend.
-    Observationally identical to a fresh ``compile_kernel`` of ``graph``.
+    ``delta.base_version``.  Observationally identical to a fresh
+    ``compile_kernel`` of ``graph``.
     """
     from repro.kernel.compile import compile_kernel, index_attributed_graph
 
     if old.n == 0 or graph.num_vertices == 0:
         # Growing from / shrinking to nothing: a fresh compile is as cheap
         # as any splice could be.
-        return compile_kernel(graph, old.backend)
+        return compile_kernel(graph)
 
     ordered, index_of, attribute_values, code_of = index_attributed_graph(graph)
     touched = delta.touched_vertices()
@@ -70,7 +68,7 @@ def patch_kernel(old: "GraphKernel", graph: "AttributedGraph", delta: GraphDelta
 # Fast path: vertex ordering and attribute domain unchanged
 # ---------------------------------------------------------------------- #
 def _patch_same_index(old, graph, delta, touched, index_of, code_of, attribute_values):
-    from repro.kernel.words import WordsGraphKernel
+    from repro.kernel.compile import GraphKernel
 
     n = old.n
     # Transient vertices (added then removed inside one batch) appear in the
@@ -97,40 +95,6 @@ def _patch_same_index(old, graph, delta, touched, index_of, code_of, attribute_v
         else:
             labels.pop(ti, None)
 
-    if isinstance(old, WordsGraphKernel):
-        kernel = _splice_words(
-            old, graph, new_rows, code_moves, attr_codes, labels, attribute_values
-        )
-    else:
-        kernel = _splice_int(
-            old, graph, new_rows, code_moves, attr_codes, labels, attribute_values
-        )
-    _carry_component_masks(old, kernel, delta)
-    return kernel
-
-
-def _splice_csr(old, n, new_rows, extend):
-    """Shared CSR re-splice: copy untouched row slices, insert rebuilt rows."""
-    indptr = [0] * (n + 1)
-    old_indptr = old.indptr
-    old_indices = old.indices
-    filled = 0
-    for index in range(n):
-        row = new_rows.get(index)
-        if row is None:
-            extend(old_indices[old_indptr[index]:old_indptr[index + 1]])
-            filled += old_indptr[index + 1] - old_indptr[index]
-        else:
-            extend(row)
-            filled += len(row)
-        indptr[index + 1] = filled
-    return indptr
-
-
-def _splice_int(old, graph, new_rows, code_moves, attr_codes, labels, attribute_values):
-    from repro.kernel.compile import GraphKernel
-
-    n = old.n
     adj_bits = list(old.adj_bits)
     for index, row in new_rows.items():
         mask = 0
@@ -144,9 +108,8 @@ def _splice_int(old, graph, new_rows, code_moves, attr_codes, labels, attribute_
         attr_masks[old_code] &= ~bit
         attr_masks[new_code] |= bit
 
-    indices: list[int] = []
-    indptr = _splice_csr(old, n, new_rows, indices.extend)
-    return GraphKernel(
+    indptr, indices = _splice_csr(old, n, new_rows)
+    kernel = GraphKernel(
         vertex_of=old.vertex_of,
         index_of=old.index_of,
         indptr=indptr,
@@ -158,39 +121,23 @@ def _splice_int(old, graph, new_rows, code_moves, attr_codes, labels, attribute_
         labels=labels,
         num_edges=graph.num_edges,
     )
+    _carry_component_masks(old, kernel, delta)
+    return kernel
 
 
-def _splice_words(old, graph, new_rows, code_moves, attr_codes, labels, attribute_values):
-    n = old.n
-    row_bytes = old.row_bytes
-    buffer = bytearray(old.buffer)
-    for index, row in new_rows.items():
-        offset = index * row_bytes
-        buffer[offset:offset + row_bytes] = bytes(row_bytes)
-        for neighbor in row:
-            buffer[offset + (neighbor >> 3)] |= 1 << (neighbor & 7)
-
-    attr_base = n * row_bytes
-    for index, old_code, new_code in code_moves:
-        byte = index >> 3
-        bit = 1 << (index & 7)
-        buffer[attr_base + old_code * row_bytes + byte] &= ~bit & 0xFF
-        buffer[attr_base + new_code * row_bytes + byte] |= bit
-
-    indices = array("Q")
-    indptr = _splice_csr(old, n, new_rows, indices.extend)
-    cls = type(old)
-    return cls(
-        vertex_of=old.vertex_of,
-        index_of=old.index_of,
-        indptr=array("Q", indptr),
-        indices=indices,
-        buffer=bytes(buffer),
-        attribute_values=attribute_values,
-        attr_codes=tuple(attr_codes),
-        labels=labels,
-        num_edges=graph.num_edges,
-    )
+def _splice_csr(old, n, new_rows):
+    """CSR re-splice: copy untouched row slices, insert rebuilt rows."""
+    indptr = [0] * (n + 1)
+    indices: list[int] = []
+    old_indptr = old.indptr
+    old_indices = old.indices
+    for index in range(n):
+        row = new_rows.get(index)
+        if row is None:
+            row = old_indices[old_indptr[index]:old_indptr[index + 1]]
+        indices.extend(row)
+        indptr[index + 1] = len(indices)
+    return indptr, indices
 
 
 def _carry_component_masks(old, kernel, delta: GraphDelta) -> None:
@@ -225,7 +172,6 @@ def _carry_component_masks(old, kernel, delta: GraphDelta) -> None:
 # ---------------------------------------------------------------------- #
 def _patch_remap(old, graph, touched, ordered, index_of, attribute_values, code_of):
     from repro.kernel.compile import GraphKernel
-    from repro.kernel.words import WordsGraphKernel
 
     n = len(ordered)
     old_index_of = old.index_of
@@ -304,28 +250,6 @@ def _patch_remap(old, graph, touched, ordered, index_of, attribute_values, code_
         indices.extend(row)
         indptr[j + 1] = len(indices)
 
-    if isinstance(old, WordsGraphKernel):
-        words = (n + 63) // 64
-        row_bytes = words * 8
-        buffer = bytearray((n + max(1, len(attribute_values))) * row_bytes)
-        for j, mask in enumerate(adj_bits):
-            buffer[j * row_bytes:(j + 1) * row_bytes] = mask.to_bytes(row_bytes, "little")
-        attr_base = n * row_bytes
-        for code, mask in enumerate(attr_masks):
-            offset = attr_base + code * row_bytes
-            buffer[offset:offset + row_bytes] = mask.to_bytes(row_bytes, "little")
-        cls = type(old)
-        return cls(
-            vertex_of=tuple(ordered),
-            index_of=index_of,
-            indptr=array("Q", indptr),
-            indices=array("Q", indices),
-            buffer=bytes(buffer),
-            attribute_values=attribute_values,
-            attr_codes=tuple(attr_codes),
-            labels=labels,
-            num_edges=graph.num_edges,
-        )
     return GraphKernel(
         vertex_of=tuple(ordered),
         index_of=index_of,

@@ -3,7 +3,9 @@
 A :class:`~repro.kernel.compile.GraphKernel` is a frozen, integer-reindexed
 snapshot of an :class:`~repro.graph.attributed_graph.AttributedGraph`:
 CSR adjacency for linear scans, per-vertex ``int`` bitmasks for set algebra,
-and per-attribute bitmasks for fairness accounting.  Every hot path of the
+and per-attribute bitmasks for fairness accounting.  A Python ``int`` is the
+only storage: its ``&``, ``|`` and ``bit_count`` run at C speed for any
+width, and every mask a consumer sees is such an int.  Every hot path of the
 reproduction — the MaxRFC branch-and-bound, the support/core reductions, the
 ``ubAD`` bounds, the heuristic growth loop, and the Bron–Kerbosch baseline —
 runs on this snapshot; the mutable ``AttributedGraph`` remains the
@@ -16,15 +18,6 @@ bound values and maximal-clique sets against :mod:`repro.cores`,
 under ``tests/test_search`` checks exact solves against brute force.
 """
 
-from repro.kernel.backend import (
-    BACKEND_INT,
-    BACKEND_NUMPY,
-    BACKEND_WORDS,
-    available_backends,
-    default_backend,
-    numpy_available,
-    resolve_backend,
-)
 from repro.kernel.bitops import (
     bit,
     bits_list,
@@ -49,38 +42,11 @@ from repro.kernel.cores import (
     enhanced_colorful_k_core_mask,
 )
 from repro.kernel.reduce import support_peel, survivors_mask
-from repro.kernel.maskops import (
-    IntMaskOps,
-    NumpyMaskOps,
-    WordsMaskOps,
-    make_ops,
-)
 from repro.kernel.search import KernelBranchAndBound
 from repro.kernel.view import SubgraphView
-from repro.kernel.words import (
-    LazyWordRows,
-    NumpyGraphKernel,
-    WordsGraphKernel,
-    compile_words_kernel,
-)
 
 __all__ = [
-    "BACKEND_INT",
-    "BACKEND_NUMPY",
-    "BACKEND_WORDS",
     "GraphKernel",
-    "IntMaskOps",
-    "LazyWordRows",
-    "NumpyGraphKernel",
-    "NumpyMaskOps",
-    "WordsGraphKernel",
-    "WordsMaskOps",
-    "available_backends",
-    "compile_words_kernel",
-    "default_backend",
-    "make_ops",
-    "numpy_available",
-    "resolve_backend",
     "KernelBranchAndBound",
     "SubgraphView",
     "array_to_coloring",

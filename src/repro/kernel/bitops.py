@@ -49,9 +49,9 @@ def mask_from_indices_wide(indices: Iterable[int], num_bits: int) -> int:
     """Build a mask over a ``num_bits``-wide universe in O(k + words).
 
     The classic :func:`mask_from_indices` ORs one shifted big int per index,
-    copying the whole accumulated mask each time — O(k · words).  Here the
-    words backends set single bytes in a scratch buffer and convert once.
-    Indices must lie in ``[0, num_bits)``.
+    copying the whole accumulated mask each time — O(k · words).  Here we
+    set single bytes in a scratch buffer and convert once.  Indices must lie
+    in ``[0, num_bits)``.
     """
     scratch = bytearray((num_bits + 7) >> 3)
     for index in indices:

@@ -25,22 +25,14 @@ The snapshot is *frozen*: mutating the source graph does not update a
 compiled kernel.  ``AttributedGraph.compile()`` is the supported entry point
 — it versions its mutations and recompiles only when the graph has actually
 changed since the cached kernel was built.
-
-Since kernel v2 the *storage* behind the snapshot is pluggable
-(:mod:`repro.kernel.backend`): this module holds the big-int reference
-backend and the backend-agnostic behaviour; :mod:`repro.kernel.words` holds
-the fixed-width word-array storage.  Mask values are Python ints in every
-backend, and backend-specific bulk work goes through ``kernel.ops``
-(:mod:`repro.kernel.maskops`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Optional
 
-from repro.kernel.backend import BACKEND_INT, resolve_backend
-from repro.kernel.bitops import bits_list, iter_bits
+from repro.kernel.bitops import bits_list, iter_bits, mask_from_indices_wide
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.graph.attributed_graph import AttributedGraph, Vertex
@@ -53,11 +45,7 @@ class GraphKernel:
     constructor is internal.
     """
 
-    #: Storage backend name; subclasses in :mod:`repro.kernel.words` override.
-    backend = BACKEND_INT
-
     __slots__ = (
-        "_ops",
         "n",
         "num_edges",
         "vertex_of",
@@ -107,36 +95,17 @@ class GraphKernel:
         self._degeneracy_order: Optional[tuple[int, ...]] = None
         self._core_numbers: Optional[tuple[int, ...]] = None
         self._component_masks: Optional[tuple[int, ...]] = None
-        self._ops = None
 
     # ------------------------------------------------------------------ #
-    # Backend-specific bulk operations
-    # ------------------------------------------------------------------ #
-    @property
-    def ops(self):
-        """The mask-ops implementation bound to this snapshot's backend."""
-        ops = self._ops
-        if ops is None:
-            from repro.kernel.maskops import make_ops
-
-            ops = self._ops = make_ops(self)
-        return ops
-
-    # ------------------------------------------------------------------ #
-    # Pickling (slot-based, minus the per-process ops binding)
+    # Pickling: explicit and slot-based, so every supported Python routes
+    # pickles through ``__getstate__`` (``object`` has one only from 3.11)
     # ------------------------------------------------------------------ #
     def __getstate__(self):
-        state = {}
-        for klass in type(self).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                if slot != "_ops" and slot not in state:
-                    state[slot] = getattr(self, slot)
-        return state
+        return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def __setstate__(self, state) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self._ops = None
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -158,10 +127,7 @@ class GraphKernel:
 
     def neighbors_csr(self, index: int) -> list[int]:
         """Neighbour indices of ``index`` as a CSR slice (ascending)."""
-        row = self.indices[self.indptr[index]:self.indptr[index + 1]]
-        # The words backends store machine-typed arrays; normalise so every
-        # backend honours the list contract.
-        return row if type(row) is list else list(row)
+        return self.indices[self.indptr[index]:self.indptr[index + 1]]
 
     def attribute_of(self, index: int) -> str:
         """Attribute value string of vertex ``index``."""
@@ -173,7 +139,9 @@ class GraphKernel:
     def mask_of(self, vertices: Iterable) -> int:
         """Bitset of the given original-id vertices."""
         index_of = self.index_of
-        return self.ops.make_mask(index_of[vertex] for vertex in vertices)
+        return mask_from_indices_wide(
+            (index_of[vertex] for vertex in vertices), self.n
+        )
 
     def vertices_of_mask(self, mask: int) -> list:
         """Original ids of the vertices in ``mask`` (ascending index order)."""
@@ -247,12 +215,11 @@ class GraphKernel:
     def component_masks(self) -> tuple[int, ...]:
         """Vertex bitset of every connected component (ascending lowest index).
 
-        BFS over adjacency bitsets: one row union per frontier expansion
-        (``ops.union_rows`` — vectorised under the numpy backend), with no
-        per-edge Python work.
+        BFS over adjacency bitsets: each frontier expansion ORs the rows of
+        the frontier's vertices, with no per-edge Python work.
         """
         if self._component_masks is None:
-            union_rows = self.ops.union_rows
+            adj_bits = self.adj_bits
             components: list[int] = []
             unvisited = self.full_mask
             while unvisited:
@@ -260,7 +227,10 @@ class GraphKernel:
                 component = 0
                 while frontier:
                     component |= frontier
-                    frontier = union_rows(frontier) & unvisited & ~component
+                    reached = 0
+                    for index in iter_bits(frontier):
+                        reached |= adj_bits[index]
+                    frontier = reached & unvisited & ~component
                 components.append(component)
                 unvisited &= ~component
             self._component_masks = tuple(components)
@@ -274,9 +244,9 @@ class GraphKernel:
 
         ``delta`` is the :class:`~repro.incremental.delta.GraphDelta`
         covering the mutations between the version this kernel was compiled
-        at and ``graph``'s current state; the result is a *new* kernel on
-        the same storage backend, observably identical to a fresh
-        ``compile_kernel(graph)`` (see :mod:`repro.incremental.patch`).
+        at and ``graph``'s current state; the result is a *new* kernel,
+        observably identical to a fresh ``compile_kernel(graph)`` (see
+        :mod:`repro.incremental.patch`).
         ``graph.compile()`` applies this automatically when its journal can
         vouch for the gap — call it directly only when managing snapshots
         by hand.
@@ -329,12 +299,12 @@ class GraphKernel:
 
 
 def index_attributed_graph(graph: "AttributedGraph"):
-    """Deterministic renumbering shared by every compile backend.
+    """Deterministic renumbering shared by compiling and patching.
 
     Returns ``(ordered, index_of, attribute_values, code_of)``.  Sorting by
     ``str(id)`` matches the tie-breaking used across the package, so two
-    compilations of equal graphs — under *any* backend — agree on vertex
-    indices, attribute codes, and therefore on every mask value.
+    compilations of equal graphs — or a compile and a patch — agree on
+    vertex indices, attribute codes, and therefore on every mask value.
     """
     ordered = sorted(graph.vertices(), key=str)
     index_of = {vertex: index for index, vertex in enumerate(ordered)}
@@ -343,22 +313,12 @@ def index_attributed_graph(graph: "AttributedGraph"):
     return ordered, index_of, attribute_values, code_of
 
 
-def compile_kernel(
-    graph: "AttributedGraph", backend: str | None = None
-) -> GraphKernel:
+def compile_kernel(graph: "AttributedGraph") -> GraphKernel:
     """Compile a frozen :class:`GraphKernel` snapshot from ``graph``.
 
     Prefer ``graph.compile()`` which memoizes the result until the next
-    mutation.  ``backend`` picks the storage representation (see
-    :func:`repro.kernel.backend.resolve_backend` for the precedence rules);
-    all backends produce snapshots with identical observable mask values.
+    mutation.
     """
-    chosen = resolve_backend(backend)
-    if chosen != BACKEND_INT:
-        from repro.kernel.words import compile_words_kernel
-
-        return compile_words_kernel(graph, chosen)
-
     ordered, index_of, attribute_values, code_of = index_attributed_graph(
         graph
     )

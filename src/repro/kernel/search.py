@@ -30,10 +30,11 @@ nodes are pruned leaves, so this removes the interpreter's call overhead
 from the bulk of the tree while visiting exactly the same nodes in exactly
 the same order.
 
-The traversal order is deterministic, so every storage backend returns the
-*same clique* with the same statistics counters (pinned by the backend
-parity matrix), and the optimum's size is checked against an independent
-brute-force oracle (``tests/test_search/test_oracle_fuzz.py``).
+The traversal order is deterministic, so a patched kernel and a fresh
+compile of the same graph return the *same clique* with the same statistics
+counters (pinned by ``tests/test_incremental/test_fuzz.py``), and the
+optimum's size is checked against an independent brute-force oracle
+(``tests/test_search/test_oracle_fuzz.py``).
 """
 
 from __future__ import annotations

@@ -306,7 +306,6 @@ class ParallelMaxRFC(MaxRFC):
             branch_limit=self.config.branch_limit,
             seed_size=len(best),
         )
-        telemetry["kernel_backend"] = kernel.backend
         context = _fork_context()
         channel = context.Value("q", len(best)) if context is not None else None
         branch_counter = (

@@ -65,11 +65,11 @@ class TestConcurrentFirstSolve:
 
         real_compile_kernel = kernel_compile.compile_kernel
 
-        def counting_compile_kernel(target, backend=None):
+        def counting_compile_kernel(target):
             if target is graph:
                 compiles.append(1)
                 time.sleep(0.02)    # widen the race window
-            return real_compile_kernel(target, backend)
+            return real_compile_kernel(target)
 
         monkeypatch.setattr(kernel_compile, "compile_kernel",
                             counting_compile_kernel)

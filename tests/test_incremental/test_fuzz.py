@@ -6,10 +6,10 @@ resets) applied in ``mutate()`` chunks, refreshing after each chunk, and
 require the refreshed session's solve to be **bit-identical** — clique,
 survivors, and every search counter (branch counts, prune counts, bound
 evaluations) — to a cold session that recompiled everything from scratch.
-Runs for all four fairness models under every available storage backend,
-serially; the 2-worker axis checks answer identity through the sharded
-executor.  Warm starts are fuzzed separately for answer preservation (a
-seeded incumbent legitimately changes prune counters).
+Runs for all four fairness models, serially; the 2-worker axis checks
+answer identity through the sharded executor.  Warm starts are fuzzed
+separately for answer preservation (a seeded incumbent legitimately
+changes prune counters).
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import pytest
 
 from repro.api import FairCliqueQuery, FairCliqueSession
 from repro.graph.generators import erdos_renyi_graph
-from repro.kernel import available_backends
-from repro.kernel.backend import ENV_VAR
 
 MODELS = ("relative", "weak", "strong", "multi_weak")
-BACKENDS = available_backends()
 
 COUNTER_FIELDS = (
     "branches_explored",
@@ -108,10 +105,8 @@ def _drive(model: str, seed: int, *, total_ops: int, workers=None,
         session.close()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("model", MODELS)
-def test_serial_bit_identity(model, backend, monkeypatch):
-    monkeypatch.setenv(ENV_VAR, backend)
+def test_serial_bit_identity(model):
     _drive(model, seed=17 + MODELS.index(model), total_ops=55)
 
 

@@ -2,29 +2,24 @@
 
 The contract is observational identity: a patched snapshot must match a
 fresh ``compile_kernel`` of the mutated graph field for field — ordering,
-CSR arrays, adjacency masks, attribute masks, labels — under every storage
-backend, for every mutation regime (same-index edge churn, vertex
-insert/delete remaps, attribute-domain changes, growing from / shrinking
-to empty), and across chained patch-of-patch sequences.
+CSR arrays, adjacency masks, attribute masks, labels — for every mutation
+regime (same-index edge churn, vertex insert/delete remaps,
+attribute-domain changes, growing from / shrinking to empty), and across
+chained patch-of-patch sequences.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import paper_example_graph
 from repro.graph.generators import erdos_renyi_graph
 from repro.incremental import patch_kernel
-from repro.kernel import available_backends, compile_kernel
-
-BACKENDS = available_backends()
+from repro.kernel import compile_kernel
 
 
 def assert_same_kernel(patched, fresh) -> None:
-    assert patched.backend == fresh.backend
     assert patched.n == fresh.n
     assert patched.num_edges == fresh.num_edges
     assert patched.vertex_of == fresh.vertex_of
@@ -36,29 +31,25 @@ def assert_same_kernel(patched, fresh) -> None:
     assert tuple(patched.attr_codes) == tuple(fresh.attr_codes)
     assert patched.labels == fresh.labels
     assert patched.tie_keys == fresh.tie_keys
-    # Mask values are plain ints in every backend (__getitem__ contract).
-    assert [patched.adj_bits[i] for i in range(patched.n)] == \
-        [fresh.adj_bits[i] for i in range(fresh.n)]
-    assert [patched.attr_masks[c] for c in range(len(patched.attribute_values))] == \
-        [fresh.attr_masks[c] for c in range(len(fresh.attribute_values))]
+    assert patched.adj_bits == fresh.adj_bits
+    assert patched.attr_masks == fresh.attr_masks
     assert patched.degeneracy_order() == fresh.degeneracy_order()
     assert patched.component_masks() == fresh.component_masks()
 
 
-def _patched_vs_fresh(graph, mutate, backend):
+def _patched_vs_fresh(graph, mutate):
     """Compile, run ``mutate(graph)`` in one batch, patch, return both kernels."""
-    old = compile_kernel(graph, backend)
+    old = compile_kernel(graph)
     base = graph.version
     with graph.mutate() as g:
         mutate(g)
     delta = graph.delta_since(base)
     assert delta is not None, "journal must cover a single batch"
-    return patch_kernel(old, graph, delta), compile_kernel(graph, backend)
+    return patch_kernel(old, graph, delta), compile_kernel(graph)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestRegimes:
-    def test_edge_churn_same_index(self, backend):
+    def test_edge_churn_same_index(self):
         graph = paper_example_graph()
         graph.compile()
         edges = sorted(graph.edges(), key=lambda e: (str(e[0]), str(e[1])))
@@ -70,9 +61,9 @@ class TestRegimes:
             g.remove_edge(a, b)
             g.add_edge(u, v)
 
-        assert_same_kernel(*_patched_vs_fresh(graph, churn, backend))
+        assert_same_kernel(*_patched_vs_fresh(graph, churn))
 
-    def test_vertex_insertion_remaps(self, backend):
+    def test_vertex_insertion_remaps(self):
         graph = paper_example_graph()
         graph.compile()
 
@@ -82,9 +73,9 @@ class TestRegimes:
             g.add_edge("zz_new", anchor)
             g.add_vertex("aa_first", "b")  # sorts before everything
 
-        assert_same_kernel(*_patched_vs_fresh(graph, grow, backend))
+        assert_same_kernel(*_patched_vs_fresh(graph, grow))
 
-    def test_vertex_removal_remaps(self, backend):
+    def test_vertex_removal_remaps(self):
         graph = paper_example_graph()
         graph.compile()
 
@@ -93,9 +84,9 @@ class TestRegimes:
             g.remove_vertex(ordered[2])
             g.remove_vertex(ordered[-1])
 
-        assert_same_kernel(*_patched_vs_fresh(graph, shrink, backend))
+        assert_same_kernel(*_patched_vs_fresh(graph, shrink))
 
-    def test_attribute_reset_same_vertices(self, backend):
+    def test_attribute_reset_same_vertices(self):
         graph = paper_example_graph()
         graph.compile()
 
@@ -103,22 +94,22 @@ class TestRegimes:
             a_vertex = next(v for v in g.vertices() if g.attribute(v) == "a")
             g.add_vertex(a_vertex, "b")  # re-add = attribute reset
 
-        assert_same_kernel(*_patched_vs_fresh(graph, recolor, backend))
+        assert_same_kernel(*_patched_vs_fresh(graph, recolor))
 
-    def test_shrink_to_empty_and_regrow(self, backend):
+    def test_shrink_to_empty_and_regrow(self):
         graph = AttributedGraph()
         graph.add_vertex(1, "a")
         graph.add_vertex(2, "b")
         graph.add_edge(1, 2)
         graph.compile()
         assert_same_kernel(*_patched_vs_fresh(
-            graph, lambda g: g.remove_vertices([1, 2]), backend))
+            graph, lambda g: g.remove_vertices([1, 2])))
         assert_same_kernel(*_patched_vs_fresh(
-            graph, lambda g: g.add_vertex(3, "a"), backend))
+            graph, lambda g: g.add_vertex(3, "a")))
 
-    def test_chained_patches(self, backend):
+    def test_chained_patches(self):
         graph = erdos_renyi_graph(18, 0.3, seed=4)
-        kernel = compile_kernel(graph, backend)
+        kernel = compile_kernel(graph)
         graph.compile()  # arm the journal
         rng = random.Random(99)
         for _ in range(6):
@@ -130,11 +121,10 @@ class TestRegimes:
                 if u != v and not g.has_edge(u, v):
                     g.add_edge(u, v)
             kernel = patch_kernel(kernel, graph, graph.delta_since(base))
-            assert_same_kernel(kernel, compile_kernel(graph, backend))
+            assert_same_kernel(kernel, compile_kernel(graph))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_randomized_patch_parity(backend):
+def test_randomized_patch_parity():
     rng = random.Random(2024)
     for trial in range(8):
         graph = erdos_renyi_graph(rng.randint(8, 22), rng.uniform(0.15, 0.45),
@@ -160,7 +150,7 @@ def test_randomized_patch_parity(backend):
                     for other in rng.sample(verts, min(len(verts), 2)):
                         g.add_edge(new, other)
 
-        assert_same_kernel(*_patched_vs_fresh(graph, mutate, backend))
+        assert_same_kernel(*_patched_vs_fresh(graph, mutate))
 
 
 class TestCompileHeuristic:

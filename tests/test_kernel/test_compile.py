@@ -1,16 +1,27 @@
 """Structural tests for the compiled kernel: CSR/bitset consistency,
-index <-> id round-tripping, the freeze/compile cache, and materialisation."""
+index <-> id round-tripping, the freeze/compile cache, materialisation, and
+the wide-mask paths of :mod:`repro.kernel.bitops`."""
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import from_edge_list, paper_example_graph
-from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.graph.components import connected_components
+from repro.graph.generators import (
+    community_graph,
+    erdos_renyi_graph,
+    uniform_random_graph,
+)
 from repro.kernel import (
     bits_list,
     compile_kernel,
@@ -18,6 +29,7 @@ from repro.kernel import (
     mask_above,
     mask_from_indices,
 )
+from repro.kernel.bitops import _WIDE_MASK_BITS
 
 
 def random_graphs():
@@ -45,6 +57,53 @@ class TestBitops:
         assert bits_list(mask & mask_above(3)) == [5, 9]
         assert bits_list(mask & mask_above(9)) == []
         assert bits_list(mask & mask_above(-1)) == [0, 3, 5, 9]
+
+
+class TestSparseBitops:
+    """The wide-mask fast path must agree exactly with the classic loop."""
+
+    def _reference(self, mask: int) -> list[int]:
+        positions = []
+        while mask:
+            low = mask & -mask
+            positions.append(low.bit_length() - 1)
+            mask ^= low
+        return positions
+
+    @pytest.mark.parametrize("universe", [100, 4_000, 200_000])
+    def test_random_masks(self, universe):
+        rng = random.Random(universe)
+        for density in (1, 3, 50, 500):
+            population = min(density, universe)
+            mask = mask_from_indices(
+                rng.sample(range(universe), population)
+            )
+            expected = self._reference(mask)
+            assert bits_list(mask) == expected
+            assert list(iter_bits(mask)) == expected
+
+    def test_cutoff_boundary(self):
+        # One bit on each side of the small/wide switch-over.
+        for position in (
+            _WIDE_MASK_BITS - 1,
+            _WIDE_MASK_BITS,
+            _WIDE_MASK_BITS + 1,
+        ):
+            mask = (1 << position) | 1
+            assert bits_list(mask) == [0, position]
+            assert list(iter_bits(mask)) == [0, position]
+
+    def test_empty_and_dense(self):
+        assert bits_list(0) == []
+        assert list(iter_bits(0)) == []
+        wide = (1 << (_WIDE_MASK_BITS * 3)) - 1
+        assert bits_list(wide) == list(range(_WIDE_MASK_BITS * 3))
+
+    def test_sparse_scan_skips_zero_words(self):
+        # A 3-bit mask over a 200k universe.
+        mask = (1 << 199_999) | (1 << 64_001) | 1
+        assert bits_list(mask) == [0, 64_001, 199_999]
+        assert list(iter_bits(mask)) == [0, 64_001, 199_999]
 
 
 class TestCompile:
@@ -190,3 +249,89 @@ class TestMaterialize:
         assert back.label(1) == "Alice"
         assert back.label(2) == "Bob"
         assert back.label(3) == "3"
+
+
+def _same_kernel(patched, fresh) -> None:
+    for field in ("n", "num_edges", "vertex_of", "index_of", "indptr",
+                  "indices", "adj_bits", "degrees", "attribute_values",
+                  "attr_codes", "attr_masks", "labels", "tie_keys"):
+        assert getattr(patched, field) == getattr(fresh, field), field
+    assert patched.component_masks() == fresh.component_masks()
+
+
+class TestWideUniverse:
+    """A whole graph above the 2048-bit cutover of :mod:`repro.kernel.bitops`:
+    compile, components, ``mask_of`` and delta patching on wide masks."""
+
+    def test_wide_kernel_matches_the_graph(self):
+        graph = uniform_random_graph(
+            3000, 9000, seed=5, assigner=lambda rng, v: "abc"[v % 3]
+        )
+        kernel = graph.compile()
+        n = kernel.n
+        assert n > _WIDE_MASK_BITS
+        index_of = kernel.index_of
+        for index, vertex in enumerate(kernel.vertex_of):
+            expected = mask_from_indices(index_of[u] for u in graph.neighbors(vertex))
+            assert kernel.adj_bits[index] == expected
+
+        assert len(kernel.attr_masks) == 3
+        union = 0
+        for mask in kernel.attr_masks:
+            assert union & mask == 0
+            union |= mask
+        assert union == kernel.full_mask
+
+        expected_components = {
+            frozenset(component) for component in connected_components(graph)
+        }
+        got = [kernel.frozenset_of_mask(mask) for mask in kernel.component_masks()]
+        assert len(got) == len(expected_components)
+        assert set(got) == expected_components
+
+        rng = random.Random(5)
+        vertices = list(graph.vertices())
+        for size in (0, 1, 40, n // 2):
+            subset = rng.sample(vertices, size)
+            assert kernel.mask_of(subset) == mask_from_indices(
+                index_of[v] for v in subset
+            )
+
+        # Edge churn keeps the ordering (same-index splice); inserting and
+        # deleting vertices shifts it (run remap).  Both touch < n/2 vertices.
+        with graph.mutate() as g:
+            for u, v in rng.sample(sorted(g.edges()), 60):
+                g.remove_edge(u, v)
+            for _ in range(60):
+                u, v = rng.sample(vertices, 2)
+                if not g.has_edge(u, v):
+                    g.add_edge(u, v)
+        _same_kernel(graph.compile(), compile_kernel(graph))
+        assert graph.kernel_stats() == {"compiled": 1, "patched": 1}
+
+        with graph.mutate() as g:
+            g.add_vertex(3000, "a")
+            g.add_edge(3000, 7)
+            g.remove_vertex(1500)
+        _same_kernel(graph.compile(), compile_kernel(graph))
+        assert graph.kernel_stats() == {"compiled": 1, "patched": 2}
+
+
+def test_numpy_stays_unloaded():
+    """Importing, compiling and solving never import numpy."""
+    script = (
+        "import sys\n"
+        "from repro import solve\n"
+        "from repro.graph.builders import paper_example_graph\n"
+        "graph = paper_example_graph()\n"
+        "graph.compile()\n"
+        "assert solve(graph, model='relative', k=3, delta=1).size == 7\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr

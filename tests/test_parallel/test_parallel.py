@@ -23,11 +23,9 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     quasi_clique_blobs,
 )
-from repro.kernel.backend import ENV_VAR, available_backends
 from repro.kernel.compile import GraphKernel, compile_kernel
 from repro.kernel.search import KernelBranchAndBound
 from repro.kernel.view import SubgraphView
-from repro.kernel.words import WordsGraphKernel
 from repro.models import make_model
 from repro.parallel import (
     ParallelConfig,
@@ -141,7 +139,7 @@ class TestForkInheritance:
     """The pool hands its payload over without pickling under fork."""
 
     def test_workers_inherit_the_kernel_unpickled(self, monkeypatch):
-        """Pickling any kernel raises here, so a pool that tried to ship one
+        """Pickling a kernel raises here, so a pool that tried to ship one
         would break and the serial fallback would still answer: the zero
         counters are what prove every shard ran in a worker."""
         graph = _multi_component_graph()
@@ -151,7 +149,6 @@ class TestForkInheritance:
             raise AssertionError("a kernel was pickled")
 
         monkeypatch.setattr(GraphKernel, "__getstate__", refuse)
-        monkeypatch.setattr(WordsGraphKernel, "__getstate__", refuse)
         report = solve(graph, _query("relative", 2))
         assert report.size == serial.size
         parallel = report.metadata["parallel"]
@@ -175,12 +172,11 @@ def _counting_spawn_context(started: list):
 class TestPickledPayload:
     """Without fork the payload reaches each worker by pickle."""
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_unpickled_payload_solves_every_shard_identically(self, backend):
+    def test_unpickled_payload_solves_every_shard_identically(self):
         """The clone must run the very same search: same clique and same
-        branch count per shard, on every kernel backend."""
+        branch count per shard."""
         graph = _multi_component_graph()
-        kernel = compile_kernel(graph, backend)
+        kernel = compile_kernel(graph)
         model = _active(graph)
         plan = plan_shards(kernel, model, workers=2)
         config = build_search_config()
@@ -194,8 +190,7 @@ class TestPickledPayload:
             seed_size=0,
         )
         clone = pickle.loads(pickle.dumps(payload))
-        assert type(clone.kernel) is type(kernel)
-        assert clone.kernel.backend == backend
+        assert type(clone.kernel) is GraphKernel
         for shard in plan.shards:
             ours = solve_shard(payload, shard, views={})
             theirs = solve_shard(clone, shard, views={})
@@ -204,24 +199,21 @@ class TestPickledPayload:
                 theirs.stats.branches_explored == ours.stats.branches_explored
             ), shard
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_spawned_workers_get_one_pickled_kernel_each(
-        self, backend, monkeypatch
-    ):
+    def test_spawned_workers_get_one_pickled_kernel_each(self, monkeypatch):
         """Emulate a platform without fork: no incumbent channel, and a
         ``spawn`` pool whose workers can only receive the kernel by pickle.
         Every shard must still run in a worker, and the kernel must be
         pickled exactly once per worker process started."""
-        monkeypatch.setenv(ENV_VAR, backend)
         graph = _multi_component_graph()
         serial = solve(graph, _query("relative", None))
-        pickled: list[str] = []
-        for cls in (GraphKernel, WordsGraphKernel):
-            def counting(self, _original=cls.__getstate__):
-                pickled.append(type(self).__name__)
-                return _original(self)
+        pickled: list[None] = []
+        original = GraphKernel.__getstate__
 
-            monkeypatch.setattr(cls, "__getstate__", counting)
+        def counting(self):
+            pickled.append(None)
+            return original(self)
+
+        monkeypatch.setattr(GraphKernel, "__getstate__", counting)
         started: list = []
         context = _counting_spawn_context(started)
 
@@ -234,7 +226,6 @@ class TestPickledPayload:
         assert report.size == serial.size
         assert report.optimal
         parallel = report.metadata["parallel"]
-        assert parallel["kernel_backend"] == backend
         assert parallel["incumbent_channel"] is False
         assert parallel["serial_fallbacks"] == 0
         assert parallel["shards_retried"] == 0

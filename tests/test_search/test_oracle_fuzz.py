@@ -3,10 +3,10 @@
 Each case draws a small random graph (n = 5–18) and a random exact-engine
 query — fairness model, ``k``, ``delta``, bound stack (or none), a random
 subset and order of the reduction stages, the ``use_reduction`` /
-``use_heuristic`` switches — and runs it on one of the available kernel
-backends.  The answer must be optimal, a valid fair clique, and exactly as
-large as the :class:`FairCliqueOracle` answer (set-based Bron–Kerbosch plus
-the best fair subset of every maximal clique; see ``tests/conftest.py``).
+``use_heuristic`` switches.  The answer must be optimal, a valid fair
+clique, and exactly as large as the :class:`FairCliqueOracle` answer
+(set-based Bron–Kerbosch plus the best fair subset of every maximal clique;
+see ``tests/conftest.py``).
 A few cases run on two workers, and a set of mutation sequences checks warm
 re-solves after ``graph.mutate()`` → ``session.refresh()``.  The enumeration
 tasks run on the same random graphs and models: ``task="enumerate"`` must
@@ -26,14 +26,12 @@ import pytest
 from repro.api import FairCliqueQuery, FairCliqueSession, solve
 from repro.bounds.stacks import stack_names
 from repro.graph.attributed_graph import AttributedGraph
-from repro.kernel.backend import ENV_VAR, available_backends
 from repro.models.base import BINARY_STAGES, MULTI_STAGES
 
 MODELS = ("relative", "weak", "strong", "multi_weak")
 #: Every stage is sound for the binary models; multi_weak has one.
 BINARY_STAGE_POOL = ("ColorfulCore",) + BINARY_STAGES
 STACKS = (None,) + tuple(sorted(stack_names()))
-BACKENDS = tuple(available_backends())
 
 CHUNKS = 8
 CASES_PER_CHUNK = 128
@@ -57,7 +55,7 @@ def random_graph(rng: random.Random, values: str) -> AttributedGraph:
 
 
 def random_case(seed: int, workers: int | None = None):
-    """``(graph, query, backend)`` of one fuzz case, fully determined by ``seed``."""
+    """``(graph, query)`` of one fuzz case, fully determined by ``seed``."""
     rng = random.Random(seed)
     model = rng.choice(MODELS)
     if model == "multi_weak":
@@ -73,39 +71,37 @@ def random_case(seed: int, workers: int | None = None):
     }
     query = FairCliqueQuery(model=model, k=k, delta=delta, options=options,
                             workers=workers)
-    return random_graph(rng, values), query, BACKENDS[seed % len(BACKENDS)]
+    return random_graph(rng, values), query
 
 
-def check_case(oracle, monkeypatch, seed: int, workers: int | None = None) -> None:
-    graph, query, backend = random_case(seed, workers)
-    monkeypatch.setenv(ENV_VAR, backend)
+def check_case(oracle, seed: int, workers: int | None = None) -> None:
+    graph, query = random_case(seed, workers)
     report = solve(graph, query)
     oracle.check(graph, report, query.model, query.k, query.delta,
-                 label=f"seed={seed} backend={backend} {query!r}")
+                 label=f"seed={seed} {query!r}")
 
 
 @pytest.mark.parametrize("chunk", range(CHUNKS))
-def test_exact_solves_match_the_oracle(chunk, oracle, monkeypatch):
+def test_exact_solves_match_the_oracle(chunk, oracle):
     for seed in range(chunk * CASES_PER_CHUNK, (chunk + 1) * CASES_PER_CHUNK):
-        check_case(oracle, monkeypatch, seed)
+        check_case(oracle, seed)
 
 
 @pytest.mark.parametrize("seed", range(PARALLEL_CASES))
-def test_two_worker_solves_match_the_oracle(seed, oracle, monkeypatch):
-    check_case(oracle, monkeypatch, 50_000 + seed, workers=2)
+def test_two_worker_solves_match_the_oracle(seed, oracle):
+    check_case(oracle, 50_000 + seed, workers=2)
 
 
 @pytest.mark.parametrize("task", ("enumerate", "top_k"))
-def test_enumeration_tasks_match_the_oracle(task, oracle, monkeypatch):
+def test_enumeration_tasks_match_the_oracle(task, oracle):
     for seed in range(70_000, 70_000 + TASK_CASES):
-        graph, drawn, backend = random_case(seed)
+        graph, drawn = random_case(seed)
         count = random.Random(-seed).randint(1, 4) if task == "top_k" else None
         query = FairCliqueQuery(model=drawn.model, k=drawn.k, delta=drawn.delta,
                                 task=task, count=count)
-        monkeypatch.setenv(ENV_VAR, backend)
         report = solve(graph, query)
         expected = oracle.fair_maximal_cliques(graph, query.model, query.k, query.delta)
-        label = f"seed={seed} backend={backend} {query!r}"
+        label = f"seed={seed} {query!r}"
         cliques = report.cliques
         assert len(set(cliques)) == len(cliques) and set(cliques) <= expected, label
         if task == "enumerate":
@@ -137,19 +133,18 @@ def mutate(rng: random.Random, graph: AttributedGraph, values: str) -> None:
 
 
 @pytest.mark.parametrize("seed", range(MUTATION_SEQUENCES))
-def test_warm_solves_after_mutations_match_the_oracle(seed, oracle, monkeypatch):
+def test_warm_solves_after_mutations_match_the_oracle(seed, oracle):
     seed = 90_000 + seed
-    graph, query, backend = random_case(seed)
+    graph, query = random_case(seed)
     values = "".join(graph.attribute_values()) or "ab"
     rng = random.Random(-seed)
-    monkeypatch.setenv(ENV_VAR, backend)
     with FairCliqueSession(graph) as session:
         report = session.solve(query)
         oracle.check(graph, report, query.model, query.k, query.delta,
-                     label=f"seed={seed} backend={backend} cold {query!r}")
+                     label=f"seed={seed} cold {query!r}")
         for step in range(MUTATION_STEPS):
             mutate(rng, graph, values)
             session.refresh()
             report = session.solve(query)
             oracle.check(graph, report, query.model, query.k, query.delta,
-                         label=f"seed={seed} backend={backend} step={step} {query!r}")
+                         label=f"seed={seed} step={step} {query!r}")

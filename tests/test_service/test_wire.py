@@ -158,6 +158,9 @@ class TestQueryPlanWire:
         assert rebuilt == plan            # frozen dataclass: full field equality
         assert rebuilt.reduction_cached and rebuilt.kernel_ready
         assert QueryPlan.from_json(plan.to_json()) == plan
+        # Older servers also sent the kernel storage name; it is ignored.
+        legacy = {**plan.to_wire(), "kernel_backend": "numpy"}
+        assert QueryPlan.from_wire(legacy) == plan
 
 
 # --------------------------------------------------------------------------- #
