@@ -130,3 +130,25 @@ class FairCliqueOracle:
 def oracle() -> FairCliqueOracle:
     """The kernel-free maximum-fair-clique oracle (see :class:`FairCliqueOracle`)."""
     return FairCliqueOracle()
+
+
+def rebuild_shuffled(graph: AttributedGraph, seed: int = 0) -> AttributedGraph:
+    """An equal graph whose vertices and edges were inserted in a seeded
+    random order, each edge with its endpoints in a random orientation."""
+    rng = random.Random(seed)
+    vertices = list(graph.vertices())
+    rng.shuffle(vertices)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges()]
+    rng.shuffle(edges)
+    clone = AttributedGraph()
+    for vertex in vertices:
+        clone.add_vertex(vertex, graph.attribute(vertex), graph.label(vertex))
+    for u, v in edges:
+        clone.add_edge(u, v)
+    return clone
+
+
+@pytest.fixture
+def shuffled_rebuild():
+    """:func:`rebuild_shuffled`: compiling must not depend on insertion order."""
+    return rebuild_shuffled

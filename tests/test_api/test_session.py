@@ -430,6 +430,25 @@ class TestExplain:
         assert heur_plan.algorithm == "HeurRFC"
         assert any("serially" in note for note in heur_plan.notes)
 
+    @pytest.mark.parametrize("state,line", [
+        ("cold", "kernel     bitset/CSR"),
+        ("compiled", "kernel     bitset/CSR  [compiled]"),
+        ("patched", "kernel     bitset/CSR  [patched +1 delta(s)]"),
+    ], ids=["cold", "compiled", "patched"])
+    def test_summary_kernel_line(self, state, line):
+        """The kernel line gives the snapshot's provenance and nothing else."""
+        graph = paper_example_graph()
+        if state != "cold":
+            graph.compile()
+        if state == "patched":
+            graph.remove_edge(*sorted(graph.edges(), key=str)[0])
+            graph.compile()
+        with FairCliqueSession(graph) as session:
+            plan = session.explain(_query("relative", k=3))
+        assert plan.kernel_ready == (state != "cold")
+        lines = plan.summary().splitlines()
+        assert [text for text in lines if text.startswith("kernel")] == [line]
+
     def test_explain_fails_fast_like_solve(self):
         graph = paper_example_graph()
         with FairCliqueSession(graph) as session:

@@ -61,6 +61,20 @@ class TestSolveCommand:
         assert exit_code == 0
         assert "GreedyMW" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["solve", "explain"])
+    def test_kernel_storage_flag_is_gone(self, command, paper_files, capsys):
+        """The kernel has one storage, so there is no flag to choose it."""
+        edges, attrs = paper_files
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                command, "--edges", edges, "--attributes", attrs,
+                "-k", "3", "--delta", "1", "--kernel-backend", "int",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --kernel-backend int" in err
+        assert "Traceback" not in err
+
     def test_solve_unknown_engine_fails_fast(self, paper_files, capsys):
         edges, attrs = paper_files
         with pytest.raises(SystemExit) as excinfo:

@@ -5,7 +5,9 @@ fresh ``compile_kernel`` of the mutated graph field for field — ordering,
 CSR arrays, adjacency masks, attribute masks, labels — for every mutation
 regime (same-index edge churn, vertex insert/delete remaps,
 attribute-domain changes, growing from / shrinking to empty), and across
-chained patch-of-patch sequences.
+chained patch-of-patch sequences.  ``TestWideRegimes`` repeats the regimes
+on a graph wider than the 2048-bit cutover of :mod:`repro.kernel.bitops`,
+where the splices and run remaps work on wide masks.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import random
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import paper_example_graph
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import erdos_renyi_graph, uniform_random_graph
 from repro.incremental import patch_kernel
 from repro.kernel import compile_kernel
+from repro.kernel.bitops import _WIDE_MASK_BITS
 
 
 def assert_same_kernel(patched, fresh) -> None:
@@ -151,6 +154,114 @@ def test_randomized_patch_parity():
                         g.add_edge(new, other)
 
         assert_same_kernel(*_patched_vs_fresh(graph, mutate))
+
+
+def _wide_graph(seed: int = 8):
+    graph = uniform_random_graph(2200, 4400, seed=seed)
+    assert graph.num_vertices > _WIDE_MASK_BITS
+    return graph
+
+
+def _sorted_edges(graph):
+    return sorted(graph.edges(), key=lambda e: (str(e[0]), str(e[1])))
+
+
+class TestWideRegimes:
+    """The regimes above on 2200 vertices: every touched index near or
+    beyond bit 2048, and remaps that shift every index above them."""
+
+    def test_edge_churn_same_index(self):
+        graph = _wide_graph()
+        edges = _sorted_edges(graph)
+
+        def churn(g):
+            for u, v in edges[-40:]:
+                g.remove_edge(u, v)
+            g.add_edge(*edges[-1])
+            ordered = sorted(g.vertices(), key=str)
+            g.add_edge(ordered[0], ordered[-1])
+
+        assert_same_kernel(*_patched_vs_fresh(graph, churn))
+
+    def test_vertex_insertion_remaps(self):
+        graph = _wide_graph()
+
+        def grow(g):
+            g.add_vertex(-1, "a")  # "-1" sorts first: every index shifts
+            g.add_edge(-1, 2199)
+            g.add_vertex("zz_new", "b", "the new one")  # sorts last
+            g.add_edge("zz_new", -1)
+            g.add_edge("zz_new", 5)
+
+        assert_same_kernel(*_patched_vs_fresh(graph, grow))
+
+    def test_vertex_removal_remaps(self):
+        graph = _wide_graph()
+
+        def shrink(g):
+            ordered = sorted(g.vertices(), key=str)
+            for position in (2, _WIDE_MASK_BITS, len(ordered) - 1):
+                g.remove_vertex(ordered[position])
+
+        assert_same_kernel(*_patched_vs_fresh(graph, shrink))
+
+    def test_attribute_reset_same_vertices(self):
+        graph = _wide_graph()
+
+        def recolor(g):
+            ordered = sorted(g.vertices(), key=str)
+            for vertex in ordered[_WIDE_MASK_BITS - 1:_WIDE_MASK_BITS + 2]:
+                g.add_vertex(vertex, "b" if g.attribute(vertex) == "a" else "a")
+            g.add_vertex(ordered[-1], "c")  # a new attribute value
+
+        assert_same_kernel(*_patched_vs_fresh(graph, recolor))
+
+    def test_chained_patches(self):
+        graph = _wide_graph(seed=9)
+        kernel = compile_kernel(graph)
+        graph.compile()  # arm the journal
+        rng = random.Random(7)
+        for step in range(4):
+            base = graph.version
+            with graph.mutate() as g:
+                verts = sorted(g.vertices(), key=str)
+                g.remove_edge(*rng.choice(_sorted_edges(g)))
+                u, v = rng.sample(verts, 2)
+                if not g.has_edge(u, v):
+                    g.add_edge(u, v)
+                if step % 2:
+                    g.remove_vertex(rng.choice(verts))
+                else:
+                    g.add_vertex(f"w{step}", "a")
+                    g.add_edge(f"w{step}", rng.choice(verts))
+            kernel = patch_kernel(kernel, graph, graph.delta_since(base))
+            assert_same_kernel(kernel, compile_kernel(graph))
+
+    def test_randomized_patch_parity(self):
+        rng = random.Random(4096)
+        for trial in range(3):
+            graph = _wide_graph(seed=500 + trial)
+            graph.compile()
+
+            def mutate(g):
+                for _ in range(rng.randint(5, 30)):
+                    verts = sorted(g.vertices(), key=str)
+                    roll = rng.random()
+                    if roll < 0.35:
+                        u, v = rng.sample(verts, 2)
+                        if not g.has_edge(u, v):
+                            g.add_edge(u, v)
+                    elif roll < 0.6:
+                        g.remove_edge(*rng.choice(_sorted_edges(g)))
+                    elif roll < 0.8:
+                        g.remove_vertex(rng.choice(verts))
+                    else:
+                        new = f"n{rng.randrange(10_000)}"
+                        g.add_vertex(new, rng.choice(("a", "b")))
+                        for other in rng.sample(verts, 2):
+                            g.add_edge(new, other)
+
+            assert_same_kernel(*_patched_vs_fresh(graph, mutate))
 
 
 class TestCompileHeuristic:

@@ -159,6 +159,59 @@ class TestCompile:
                 assert kernel.attr_codes[index] == code
         assert union == kernel.full_mask
 
+    @pytest.mark.parametrize("graph_index", range(8))
+    def test_component_masks_match_connected_components(self, graph_index):
+        graph = random_graphs()[graph_index]
+        kernel = compile_kernel(graph)
+        masks = kernel.component_masks()
+        union = 0
+        for mask in masks:
+            assert mask and union & mask == 0  # non-empty, disjoint
+            union |= mask
+        assert union == kernel.full_mask
+        # Ordered by lowest member index, and cached.
+        lowest = [(mask & -mask).bit_length() for mask in masks]
+        assert lowest == sorted(lowest)
+        assert kernel.component_masks() is masks
+        expected = {frozenset(c) for c in connected_components(graph)}
+        got = [kernel.frozenset_of_mask(mask) for mask in masks]
+        assert len(got) == len(expected)
+        assert set(got) == expected
+
+    @pytest.mark.parametrize("graph_index", range(8))
+    def test_pickle_round_trip_is_field_identical(self, graph_index):
+        """A kernel shipped by pickle (workers without ``fork``) is the same
+        snapshot, its lazily computed caches included."""
+        graph = random_graphs()[graph_index]
+        kernel = compile_kernel(graph)
+        kernel.degeneracy_order()
+        kernel.component_masks()
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert type(clone) is type(kernel)
+        for slot in type(kernel).__slots__:
+            assert getattr(clone, slot) == getattr(kernel, slot), slot
+        vertices = sorted(graph.vertices(), key=str)[::2]
+        assert clone.mask_of(vertices) == kernel.mask_of(vertices)
+        # A cold kernel ships with its caches empty and fills them the same.
+        cold = pickle.loads(pickle.dumps(compile_kernel(graph)))
+        assert cold._component_masks is None
+        assert cold.component_masks() == kernel.component_masks()
+        assert cold.core_numbers() == kernel.core_numbers()
+
+    @pytest.mark.parametrize("graph_index", range(8))
+    def test_insertion_order_does_not_change_the_kernel(
+        self, graph_index, shuffled_rebuild
+    ):
+        graph = random_graphs()[graph_index]
+        kernel = compile_kernel(graph)
+        for seed in range(3):
+            other = compile_kernel(shuffled_rebuild(graph, seed))
+            for slot in type(kernel).__slots__:
+                if not slot.startswith("_"):
+                    assert getattr(other, slot) == getattr(kernel, slot), slot
+            assert other.degeneracy_order() == kernel.degeneracy_order()
+            assert other.component_masks() == kernel.component_masks()
+
     def test_degeneracy_order_is_a_permutation(self):
         graph = erdos_renyi_graph(40, 0.25, seed=3)
         kernel = compile_kernel(graph)
@@ -259,14 +312,32 @@ def _same_kernel(patched, fresh) -> None:
     assert patched.component_masks() == fresh.component_masks()
 
 
+def _wide_graph():
+    return uniform_random_graph(
+        3000, 9000, seed=5, assigner=lambda rng, v: "abc"[v % 3]
+    )
+
+
+def _wide_planted_graph():
+    """A sparse 2400-vertex background plus a 6+3 clique whose string ids
+    sort after every integer id, so it lives above the 2048-bit cutover."""
+    graph = uniform_random_graph(2400, 6000, seed=3)
+    members = [f"z{i}" for i in range(9)]
+    for i, vertex in enumerate(members):
+        graph.add_vertex(vertex, "a" if i < 6 else "b")
+        graph.add_edge(vertex, 7 * i)
+    for i, u in enumerate(members):
+        for v in members[i + 1:]:
+            graph.add_edge(u, v)
+    return graph
+
+
 class TestWideUniverse:
     """A whole graph above the 2048-bit cutover of :mod:`repro.kernel.bitops`:
     compile, components, ``mask_of`` and delta patching on wide masks."""
 
     def test_wide_kernel_matches_the_graph(self):
-        graph = uniform_random_graph(
-            3000, 9000, seed=5, assigner=lambda rng, v: "abc"[v % 3]
-        )
+        graph = _wide_graph()
         kernel = graph.compile()
         n = kernel.n
         assert n > _WIDE_MASK_BITS
@@ -315,6 +386,69 @@ class TestWideUniverse:
             g.remove_vertex(1500)
         _same_kernel(graph.compile(), compile_kernel(graph))
         assert graph.kernel_stats() == {"compiled": 1, "patched": 2}
+
+    def test_wide_core_numbers_match_the_reference(self):
+        from repro.cores.kcore import core_numbers
+
+        graph = _wide_graph()
+        kernel = graph.compile()
+        expected = core_numbers(graph)
+        got = kernel.core_numbers()
+        assert {v: got[kernel.index_of[v]] for v in graph.vertices()} == expected
+        assert sorted(kernel.degeneracy_order()) == list(range(kernel.n))
+
+    def test_wide_materialize_round_trip(self):
+        graph = _wide_graph()
+        kernel = graph.compile()
+        # Every kept index lies above the 2048-bit cutover.
+        keep = [kernel.vertex_of[i] for i in range(_WIDE_MASK_BITS + 1, kernel.n)]
+        via_kernel = kernel.materialize(kernel.mask_of(keep))
+        via_graph = graph.subgraph(keep)
+        assert set(via_kernel.vertices()) == set(via_graph.vertices())
+        assert via_kernel.num_edges == via_graph.num_edges
+        for vertex in keep:
+            assert via_kernel.attribute(vertex) == graph.attribute(vertex)
+            assert set(via_kernel.neighbors(vertex)) == set(via_graph.neighbors(vertex))
+
+    @pytest.mark.parametrize("use_reduction", [True, False],
+                             ids=["reduced", "unreduced"])
+    @pytest.mark.parametrize("model", ["relative", "weak", "strong", "multi_weak"])
+    def test_wide_solve_matches_the_oracle(self, model, use_reduction, oracle):
+        """Exact solves on a kernel wider than 2048 bits: the reductions peel
+        it, or, unreduced, the branch-and-bound runs on the wide masks."""
+        graph = _wide_planted_graph()
+        kernel = graph.compile()
+        assert kernel.n > _WIDE_MASK_BITS
+        assert kernel.index_of["z0"] > _WIDE_MASK_BITS
+        delta = 1 if model == "relative" else None
+        report = repro.solve(graph, model=model, k=2, delta=delta,
+                             options={"use_reduction": use_reduction})
+        oracle.check(graph, report, model, 2, delta, label="wide")
+        # Of the 6 + 3 planted, relative (gap 1) keeps 4 + 3, strong 3 + 3.
+        assert report.size == {"relative": 7, "strong": 6}.get(model, 9)
+        assert all(str(v).startswith("z") for v in report.clique)
+
+
+class TestStorage:
+    def test_storage_stamp_names_int_only(self):
+        """Benchmark environment stamps name the one storage."""
+        from repro.kernel.backend import available_backends, resolve_backend
+
+        assert available_backends() == ("int",)
+        assert resolve_backend() == "int"
+        kernel = paper_example_graph().compile()
+        assert all(type(row) is int for row in kernel.adj_bits)
+        assert all(type(mask) is int for mask in kernel.attr_masks)
+
+    def test_stale_storage_env_var_is_ignored(self, monkeypatch):
+        """A leftover storage variable (an unknown value used to be a loud
+        error) changes nothing: the kernel and the answer stay the same."""
+        graph = paper_example_graph()
+        reference = compile_kernel(graph)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
+        kernel = graph.compile()
+        _same_kernel(kernel, reference)
+        assert repro.solve(graph, model="relative", k=3, delta=1).size == 7
 
 
 def test_numpy_stays_unloaded():
