@@ -111,7 +111,7 @@ from repro.kernel import compile_kernel
 from repro.kernel.bounds import stack_evaluate
 from repro.kernel.view import SubgraphView
 from repro.models import make_model
-from repro.parallel import ParallelConfig, ParallelMaxRFC
+from repro.parallel import ParallelMaxRFC
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.search.maxrfc import MaxRFC, build_search_config
 
@@ -786,9 +786,9 @@ def bench_parallel(graph, model_name, k, delta, repeats, workers):
         serial_samples.append(serial.stats.search_seconds)
     parallel_samples = []
     for _ in range(repeats):
-        parallel = ParallelMaxRFC(
-            build_search_config(), ParallelConfig(workers=workers)
-        ).solve_model(graph, model)
+        parallel = ParallelMaxRFC(build_search_config(), workers).solve_model(
+            graph, model
+        )
         parallel_samples.append(parallel.stats.search_seconds)
     if not (serial.optimal and parallel.optimal):
         raise AssertionError("parallel bench cell hit a budget: sizes not comparable")
@@ -807,7 +807,6 @@ def bench_parallel(graph, model_name, k, delta, repeats, workers):
         "shards": telemetry.get("shards", 0),
         "components_searched": telemetry.get("components_searched", 0),
         "components_split": telemetry.get("components_split", 0),
-        "incumbent_channel": telemetry.get("incumbent_channel", False),
     }
 
 

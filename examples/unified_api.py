@@ -108,8 +108,7 @@ def parallel_search() -> None:
     print(f"  parallel: {parallel.summary()}")
     print(f"  shards={telemetry.get('shards')} "
           f"components={telemetry.get('components_searched')} "
-          f"split={telemetry.get('components_split')} "
-          f"channel={telemetry.get('incumbent_channel')}")
+          f"split={telemetry.get('components_split')}")
     print()
 
 

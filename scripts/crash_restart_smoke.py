@@ -17,10 +17,11 @@ Scenarios (any failure exits non-zero):
    it truncated, and solve normally.
 2. **SIGKILL mid-solve**: a ``shard.run`` sleep fault slows a ``workers=2``
    exact solve so shard checkpoints land on disk; the server is SIGKILLed
-   once a checkpoint holds at least one completed shard.  After restart the
-   identical query must *resume* — ``resumed: true``, ``shards_skipped >=
-   1`` — and return exactly the from-scratch (serial) answer; success then
-   discards the checkpoint.
+   once a checkpoint holds at least one completed shard.  Its pool workers
+   (read from ``/proc`` on Linux) must exit with it rather than linger
+   reparented.  After restart the identical query must *resume* —
+   ``resumed: true``, ``shards_skipped >= 1`` — and return exactly the
+   from-scratch (serial) answer; success then discards the checkpoint.
 3. **SIGKILL mid-mutation-batch**: after an upload and one acknowledged
    mutation batch, a ``wal.append`` sleep fault stalls the *delta record*
    of a second batch and the server is SIGKILLed inside the write.  The
@@ -33,7 +34,9 @@ Scenarios (any failure exits non-zero):
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -121,6 +124,41 @@ def check(label: str, condition: bool, detail: str = "") -> None:
 def hard_kill(server: subprocess.Popen) -> None:
     server.send_signal(signal.SIGKILL)
     server.wait(timeout=10)
+
+
+def live_children(pid: int) -> dict[int, str]:
+    """``{child pid: start time}`` of ``pid``'s live children (Linux ``/proc``)."""
+    children = {}
+    for listing in Path(f"/proc/{pid}/task").glob("*/children"):
+        for child in listing.read_text().split():
+            start = start_time(int(child))
+            if start is not None:
+                children[int(child)] = start
+    return children
+
+
+def start_time(pid: int) -> str | None:
+    """Start time of a live, non-zombie ``pid`` (None when gone or a zombie)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return None if fields[0] == "Z" else fields[19]
+
+
+def wait_for_orphans(children: dict[int, str], deadline_s: float = 5.0) -> list[int]:
+    """Pids in ``children`` still alive after ``deadline_s``; SIGKILLs them."""
+    started = time.monotonic()
+    while True:
+        alive = [pid for pid, start in children.items() if start_time(pid) == start]
+        if not alive or time.monotonic() - started > deadline_s:
+            break
+        time.sleep(0.05)
+    for pid in alive:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    return alive
 
 
 def dump_on_failure(server: subprocess.Popen) -> None:
@@ -220,11 +258,18 @@ def scenario_solve_crash() -> None:
         solver = threading.Thread(target=doomed_solve, daemon=True)
         solver.start()
         state = wait_for_checkpoint(data_dir)
+        workers = live_children(server.pid) if sys.platform.startswith("linux") else {}
         hard_kill(server)
         solver.join(timeout=10)
         check("server SIGKILLed mid-solve",
               0 < len(state["shards"]) < 3,
               f"checkpointed shards={sorted(state['shards'])}")
+        if sys.platform.startswith("linux"):
+            check("pool workers seen before the kill", len(workers) >= 1,
+                  f"workers={sorted(workers)}")
+            orphans = wait_for_orphans(workers)
+            check("pool workers exited with the server", not orphans,
+                  f"orphans={orphans}")
     except BaseException:
         dump_on_failure(server)
         raise

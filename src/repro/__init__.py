@@ -91,7 +91,7 @@ from repro.models import (
     WeakFairness,
     make_model,
 )
-from repro.parallel import ParallelConfig, ParallelMaxRFC, solve_parallel
+from repro.parallel import ParallelMaxRFC, solve_parallel
 from repro.reduction import ReductionPipeline, reduce_graph
 from repro.search import (
     MaxRFC,
@@ -129,7 +129,6 @@ __all__ = [
     "make_model",
     # parallel component-sharded search
     "ParallelMaxRFC",
-    "ParallelConfig",
     "solve_parallel",
     # graph + legacy entry points
     "AttributedGraph",

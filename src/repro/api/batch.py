@@ -255,16 +255,15 @@ def solve_many(
     queries: Iterable[FairCliqueQuery],
     *,
     registry: EngineRegistry | None = None,
-    share_reduction: bool = True,
     max_workers: int | None = None,
 ) -> list[SolveReport]:
     """Answer a batch of queries over one graph — a wrapper over an ephemeral session.
 
+    Reduction artifacts are memoized across queries (one pipeline run per
+    distinct ``k``).
+
     Parameters
     ----------
-    share_reduction:
-        Memoize reduction artifacts across queries (one pipeline run per
-        distinct ``k``).  Disable only to measure the unshared baseline.
     max_workers:
         When > 1, solve in a process pool.  Queries are grouped by ``k`` so
         reduction sharing survives the split; the workers dispatch through
@@ -275,9 +274,7 @@ def solve_many(
     from repro.api.session import FairCliqueSession
 
     with FairCliqueSession(graph, registry=registry) as session:
-        return session.solve_many(
-            queries, max_workers=max_workers, share_reduction=share_reduction
-        )
+        return session.solve_many(queries, max_workers=max_workers)
 
 
 def _validated_queries(
@@ -325,19 +322,12 @@ def _init_batch_worker(graph: AttributedGraph) -> None:
     _WORKER_CONTEXT = SolveContext(graph)
 
 
-def _solve_chunk(
-    queries: list[FairCliqueQuery], share_context: bool = True
-) -> list[SolveReport]:
-    """Worker entry point: solve a chunk against the initializer-shipped graph.
-
-    ``share_context=False`` gives the chunk a throwaway context — that is the
-    unshared-reduction baseline, where nothing may be memoized across queries.
-    """
+def _solve_chunk(queries: list[FairCliqueQuery]) -> list[SolveReport]:
+    """Worker entry point: solve a chunk against the initializer-shipped graph."""
     graph = _WORKER_GRAPH
-    if graph is None:  # pragma: no cover - initializer always ran
+    context = _WORKER_CONTEXT
+    if graph is None or context is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("batch worker used before its initializer ran")
-    context = _WORKER_CONTEXT if share_context else SolveContext(graph)
-    assert context is not None
     return [_dispatch_query(graph, query, context) for query in queries]
 
 
@@ -368,9 +358,9 @@ class BatchExecutor:
             initargs=(graph,),
         )
 
-    def submit_chunk(self, queries: list[FairCliqueQuery], share_context: bool = True):
+    def submit_chunk(self, queries: list[FairCliqueQuery]):
         """Submit one chunk; returns the future of its report list."""
-        return self._pool.submit(_solve_chunk, queries, share_context)
+        return self._pool.submit(_solve_chunk, queries)
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
@@ -387,34 +377,28 @@ def _solve_parallel(
     graph: AttributedGraph,
     queries: list[FairCliqueQuery],
     max_workers: int,
-    share_reduction: bool,
     executor: BatchExecutor,
 ) -> list[SolveReport]:
+    # Same-k queries share a worker (and therefore one reduction run) —
+    # but a single-k sweep must not collapse into one sequential chunk,
+    # so each k-group is further split across the idle workers.  Every
+    # extra subchunk pays one redundant reduction run; that trade is
+    # what buys the parallelism.
     indexed = list(enumerate(queries))
-    if share_reduction:
-        # Same-k queries share a worker (and therefore one reduction run) —
-        # but a single-k sweep must not collapse into one sequential chunk,
-        # so each k-group is further split across the idle workers.  Every
-        # extra subchunk pays one redundant reduction run; that trade is
-        # what buys the parallelism.
-        keyed = sorted(indexed, key=lambda pair: (pair[1].k, pair[0]))
-        groups = [
-            list(group)
-            for _, group in itertools.groupby(keyed, key=lambda pair: pair[1].k)
-        ]
-        splits_per_group = max(1, max_workers // len(groups))
-        chunks = []
-        for group in groups:
-            size = -(-len(group) // splits_per_group)  # ceil division
-            chunks.extend(group[start:start + size] for start in range(0, len(group), size))
-    else:
-        chunks = [[pair] for pair in indexed]
+    keyed = sorted(indexed, key=lambda pair: (pair[1].k, pair[0]))
+    groups = [
+        list(group)
+        for _, group in itertools.groupby(keyed, key=lambda pair: pair[1].k)
+    ]
+    splits_per_group = max(1, max_workers // len(groups))
+    chunks = []
+    for group in groups:
+        size = -(-len(group) // splits_per_group)  # ceil division
+        chunks.extend(group[start:start + size] for start in range(0, len(group), size))
 
     ordered: list[SolveReport | None] = [None] * len(queries)
     futures = [
-        (chunk, executor.submit_chunk(
-            [query for _, query in chunk], share_context=share_reduction,
-        ))
+        (chunk, executor.submit_chunk([query for _, query in chunk]))
         for chunk in chunks
     ]
     for chunk, future in futures:

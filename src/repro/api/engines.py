@@ -165,15 +165,13 @@ def exact_engine(
         metadata["kernel"] = {"n": kernel.n, "m": kernel.num_edges}
     workers = query.workers or 1
     if workers > 1:
-        from repro.parallel import ParallelConfig, ParallelMaxRFC
+        from repro.parallel import ParallelMaxRFC
 
         # Durable solve checkpoint: the service parks a CheckpointHandle on
         # the context view so a killed server resumes this exact solve from
         # its last completed shard after a warm restart.
         checkpoint = getattr(context, "checkpoint", None)
-        solver: MaxRFC = ParallelMaxRFC(
-            config, ParallelConfig(workers=workers), checkpoint=checkpoint
-        )
+        solver: MaxRFC = ParallelMaxRFC(config, workers, checkpoint=checkpoint)
     else:
         solver = MaxRFC(config)
     # Warm start: a refreshed session parks its previous (re-verified)

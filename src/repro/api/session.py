@@ -600,16 +600,12 @@ class FairCliqueSession:
         queries: Iterable[FairCliqueQuery],
         *,
         max_workers: int | None = None,
-        share_reduction: bool = True,
     ) -> list[SolveReport]:
         """Answer a batch of queries, in input order.
 
         ``max_workers > 1`` solves the batch on the session's persistent
         process pool, creating it on first use; subsequent batches reuse the
-        pool and the workers' memoized artifacts.  ``share_reduction=False``
-        is the unshared-measurement baseline: every query gets a throwaway
-        context and nothing is memoized across them (the session's own cache
-        is bypassed, not cleared).
+        pool and the workers' memoized artifacts.
         """
         self._check_open()
         query_list = _validated_queries(queries, self._registry)
@@ -621,17 +617,7 @@ class FairCliqueSession:
                     "use the default registry or max_workers=1"
                 )
             executor = self._executor_for(workers)
-            return _solve_parallel(
-                self.graph, query_list, workers, share_reduction, executor
-            )
-        if not share_reduction:
-            return [
-                _dispatch_query(
-                    self.graph, query,
-                    SolveContext(self.graph), self._registry,
-                )
-                for query in query_list
-            ]
+            return _solve_parallel(self.graph, query_list, workers, executor)
         return [
             _dispatch_query(self.graph, query, self.context, self._registry)
             for query in query_list
@@ -694,7 +680,8 @@ class FairCliqueSession:
 
         Abandoning the generator (``close()``, or a consumer that went
         away) *stops the background solve*: the generator's cleanup sets
-        ``stop_event``, which the solver checks alongside its deadline, so
+        ``stop_event``, which the solver checks alongside its deadline (a
+        ``workers > 1`` solve relays it to every pool worker), so
         an abandoned stream aborts within the budget-check granularity
         instead of running to completion.  ``stop_event`` may be supplied
         by the caller (the service's disconnect signal); pre-setting it

@@ -57,7 +57,9 @@ class KernelBranchAndBound:
     ``has_budget=False`` skips the callback entirely (it would be a no-op),
     sparing two calls per node.
 
-    Two hooks exist for the parallel executor (:mod:`repro.parallel`):
+    The serial search and the parallel executor (:mod:`repro.parallel`) run
+    the same :meth:`run`; a shard of a split component passes the mask of
+    its root positions.  Two hooks serve the executor's shared incumbent:
     ``on_improve`` is invoked with the new incumbent size whenever a larger
     fair clique is recorded (a worker publishes it to the shared incumbent
     channel), and ``best_size`` may be raised *externally* mid-search (from a
@@ -119,8 +121,17 @@ class KernelBranchAndBound:
         # to count those vertices toward.
         self.domain_masks, self.domain_codes = model.view_slots(view)
 
-    def run(self) -> tuple[int, frozenset]:
-        """Explore the whole component; return the (possibly improved) incumbent."""
+    def run(self, roots: int | None = None) -> tuple[int, frozenset]:
+        """Explore the component; return the (possibly improved) incumbent.
+
+        ``roots`` optionally restricts the depth-0 loop to the positions set
+        in that mask: only the subtrees whose first clique member is one of
+        them are searched, while their children still draw candidates from
+        the whole component.  The root loop decomposes into one independent
+        subtree per position, so the subtrees of disjoint masks together
+        cover exactly what ``run()`` covers — this is how the parallel
+        executor splits one oversized component across workers.
+        """
         # Root prologue (R = {}, C = every vertex), then expand.
         stats = self.stats
         stats.branches_explored += 1
@@ -161,86 +172,7 @@ class KernelBranchAndBound:
             ):
                 stats.pruned_by_bound += 1
                 return self.best_size, self.best_clique
-        self._expand(0, [0] * self.num_values, cand_mask, 0, 0)
-        return self.best_size, self.best_clique
-
-    def run_root_branch(self, p: int) -> tuple[int, frozenset]:
-        """Explore only the root subtree whose first clique member is position ``p``.
-
-        This is the shard granularity of the parallel executor: the root
-        candidate loop of :meth:`run` decomposes into one independent subtree
-        per position (``R = {p}``, ``C = N(p)`` restricted to higher ranks),
-        so an oversized component can be split one branch level deep and its
-        subtrees solved on different workers.  The child prologue replicated
-        here is the same one :meth:`_expand` runs inline at ``depth == 0`` —
-        same prune rules, same counters — minus the incumbent-vs-remaining
-        cutoff, which depends on the root iteration state that a lone subtree
-        does not have.
-        """
-        stats = self.stats
-        view = self.view
-        lower = self.lower
-        gap = self.gap
-        min_size = self.min_size
-        stats.branches_explored += 1
-        if self.has_budget:
-            self.check_budget(stats)
-        low = 1 << p
-        counts_r = [0] * self.num_values
-        counts_r[self.domain_codes[p]] = 1
-        if 1 > self.best_size and self.min_size <= 1:
-            # A single vertex can only be fair for a one-value domain with
-            # k = 1; for every binary model this branch is dead code.
-            fair = True
-            for i in range(self.num_values):
-                if counts_r[i] < lower[i]:
-                    fair = False
-                    break
-            if fair:
-                self.best_size = 1
-                self.best_clique = view.frozenset_of(low)
-                stats.solutions_found += 1
-                if self.on_improve is not None:
-                    self.on_improve(1)
-        new_cand = view.full_mask & view.adj[p] & (-1 << (p + 1))
-        if not new_cand:
-            return self.best_size, self.best_clique
-        num_candidates = new_cand.bit_count()
-        limit = self.best_size + 1
-        if limit < min_size:
-            limit = min_size
-        if 1 + num_candidates < limit:
-            stats.pruned_by_size += 1
-            return self.best_size, self.best_clique
-        masks = self.domain_masks
-        counts_c = [0] * self.num_values
-        rest = num_candidates
-        for i in range(self.num_values - 1):
-            count = (new_cand & masks[i]).bit_count()
-            counts_c[i] = count
-            rest -= count
-        counts_c[-1] = rest
-        for i in range(self.num_values):
-            if counts_r[i] + counts_c[i] < lower[i]:
-                stats.pruned_by_attribute_feasibility += 1
-                return self.best_size, self.best_clique
-        if gap is not None and (
-            counts_r[0] > counts_r[1] + counts_c[1] + gap
-            or counts_r[1] > counts_r[0] + counts_c[0] + gap
-        ):
-            stats.pruned_by_fairness_gap += 1
-            return self.best_size, self.best_clique
-        stack = self.bound_stack
-        if stack is not None and 1 < self.bound_depth:
-            stats.bound_evaluations += 1
-            if stack_prunes(
-                view, stack, low, new_cand,
-                self.model.quota, self.model.bound_delta,
-                max(min_size - 1, self.best_size),
-            ):
-                stats.pruned_by_bound += 1
-                return self.best_size, self.best_clique
-        self._expand(low, counts_r, new_cand, 1, 1)
+        self._expand(0, [0] * self.num_values, cand_mask, 0, 0, roots)
         return self.best_size, self.best_clique
 
     def _expand(
@@ -250,6 +182,7 @@ class KernelBranchAndBound:
         cand_mask: int,
         depth: int,
         size_r: int,
+        roots: int | None = None,
     ) -> None:
         """Iterate the candidates of a node that already survived its prologue.
 
@@ -258,7 +191,8 @@ class KernelBranchAndBound:
         here; only children that reach their own candidate loop recurse.
         ``counts_r`` holds the per-domain-value attribute counts of R and is
         shared down the recursion mutate-then-undo style, so no per-node
-        allocation happens for the clique side.
+        allocation happens for the clique side.  ``roots`` (depth 0 only)
+        masks the positions the root loop iterates; see :meth:`run`.
         """
         stats = self.stats
         view = self.view
@@ -291,20 +225,22 @@ class KernelBranchAndBound:
         # suffix-size early exit holds.
         # Candidates are streamed straight off the mask — no positions list
         # is materialised per node.
+        mask = cand_mask
         if depth == 0:
-            iteration = 0
+            # The root candidate mask is the contiguous full mask, so the
+            # vertex at position p has view.n - p candidates from p upward.
+            num_positions = view.n
+            if roots is not None:
+                mask &= roots
         else:
             iteration = cand_mask.bit_count() + 1
-        mask = cand_mask
         while mask:
             if depth == 0:
-                # Descending rank: peel the highest set bit; the j-th vertex
-                # from the top has j later-ranked candidates (remaining).
+                # Descending rank: peel the highest set bit.
                 p = mask.bit_length() - 1
                 low = 1 << p
                 mask ^= low
-                iteration += 1
-                remaining = iteration
+                remaining = num_positions - p
             else:
                 low = mask & -mask
                 mask ^= low

@@ -13,15 +13,19 @@ whose component loop fans out over a ``ProcessPoolExecutor``:
    branch level deep into root-subtree shards;
 4. the snapshot reaches each worker exactly once, as the pool
    *initializer*'s argument: under ``fork`` the worker inherits it
-   copy-on-write and nothing is pickled; without ``fork`` it pickles once
-   per worker.  Shards reference it by component index;
-5. workers share one incumbent-size channel (a ``multiprocessing.Value``,
-   inherited across ``fork``): a clique found in one shard tightens the
-   pruning threshold in all others within
-   :data:`~repro.parallel.worker.POLL_INTERVAL` branches;
-   the fairness model ships inside the payload as a bound
-   :class:`~repro.models.base.ActiveModel`, so every model — including
-   ``multi_weak`` over arbitrary attribute domains — shards identically;
+   copy-on-write and nothing is pickled; without ``fork`` the pool uses
+   ``spawn`` and the snapshot pickles once per worker.  Shards reference it
+   by component index;
+5. the same ``initargs`` hand every worker the solve's shared values
+   (``multiprocessing.Value`` objects created from the pool's own context,
+   so every start method accepts them): the incumbent-size channel — a
+   clique found in one shard tightens the pruning threshold in all others
+   within :data:`~repro.parallel.worker.POLL_INTERVAL` branches — the
+   global branch counter, and the stop flag the coordinator raises when the
+   caller's ``stop_event`` fires.  The fairness model ships inside the
+   payload as a bound :class:`~repro.models.base.ActiveModel`, so every
+   model — including ``multi_weak`` over arbitrary attribute domains —
+   shards identically;
 6. the coordinator merges the per-shard incumbents and counters; a shard
    that hit the time/branch budget contributes its best-so-far clique and
    flags the merged result as truncated (``optimal=False``).
@@ -45,7 +49,6 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.models.base import ActiveModel
@@ -57,9 +60,6 @@ from repro.resilience.deadline import Deadline
 from repro.search.maxrfc import MaxRFC, MaxRFCConfig, _TimeBudgetExceeded
 from repro.search.result import SearchResult
 from repro.search.statistics import SearchStats
-
-#: Components at most this large run as one shard; larger ones are split.
-DEFAULT_SPLIT_THRESHOLD = 96
 
 #: How many times a failed shard is resubmitted to a (possibly respawned)
 #: pool before the coordinator runs it serially in-process.  Shards are pure
@@ -109,72 +109,59 @@ def _plan_signature(kernel, model: ActiveModel, plan: ShardPlan, seed_size: int)
     )
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 
-#: Serialises channel parking + worker spawning: the shared Values are handed
-#: to workers through a module global inherited at fork, so two threads
-#: solving concurrently must not interleave park → fork windows (a worker
-#: inheriting the *other* solve's incumbent channel could prune against a
-#: foreign clique size and return a wrong answer).
-_PARK_LOCK = threading.Lock()
 
+def _pool_context():
+    """The pool's multiprocessing context: ``fork`` where available, else ``spawn``.
 
-@dataclass
-class ParallelConfig:
-    """Knobs of the parallel executor (both have sensible defaults).
-
-    Attributes
-    ----------
-    workers:
-        Pool size.  ``<= 1`` falls back to the serial kernel search — the
-        coordinator never spawns a pool it cannot use.
-    split_threshold:
-        Components with more vertices than this are split one branch level
-        deep into root-subtree shards (see :mod:`repro.parallel.sharding`).
+    The shared values are created from the same context, because a lock made
+    in a fork context refuses to be shared with a spawned process.
     """
-
-    workers: int = 2
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context, or None where fork is absent."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
-    return None
+    return multiprocessing.get_context("spawn")
 
 
-class _ChannelPoller(threading.Thread):
-    """Coordinator-side thread turning incumbent-channel growth into events.
+class _Poller(threading.Thread):
+    """Coordinator-side thread between the caller and the workers.
 
-    Polls the shared size ``channel`` every ``interval`` seconds and calls
-    ``notify(size, None)`` for every strictly larger value observed; a final
-    drain after :meth:`stop` catches an improvement that landed between the
-    last poll and pool completion.  Sizes are monotone by construction
-    (workers only ever publish strictly larger values).
+    Every ``interval`` seconds it calls ``notify(size, None)`` for every
+    strictly larger value observed on the incumbent ``channel`` (when
+    ``notify`` is given), and raises the shared ``stop`` flag once
+    ``stop_event`` is set (when given).  A final tick after :meth:`stop`
+    catches an improvement that landed between the last poll and pool
+    completion.  Sizes are monotone by construction (workers only ever
+    publish strictly larger values).
     """
 
-    def __init__(self, channel, seed_size: int, notify, interval: float = 0.02):
+    def __init__(self, channel, notify, stop_event, stop, interval: float = 0.02):
         super().__init__(daemon=True)
         self._channel = channel
-        self._last = seed_size
+        self._last = channel.value
         self._notify = notify
+        self._stop_event = stop_event
+        self._stop_flag = stop
         self._interval = interval
         # Not named _stop: threading.Thread uses that name internally.
         self._halt = threading.Event()
 
-    def _drain(self) -> None:
-        size = self._channel.value
-        if size > self._last:
-            self._last = size
-            self._notify(size, None)
+    def _tick(self) -> None:
+        if self._stop_event is not None and self._stop_event.is_set():
+            self._stop_flag.value = 1
+        if self._notify is not None:
+            size = self._channel.value
+            if size > self._last:
+                self._last = size
+                self._notify(size, None)
 
     def run(self) -> None:  # pragma: no cover - timing-dependent loop body
+        self._tick()
         while not self._halt.wait(self._interval):
-            self._drain()
+            self._tick()
 
     def stop(self) -> None:
         self._halt.set()
         self.join()
-        self._drain()
+        self._tick()
 
 
 class ParallelMaxRFC(MaxRFC):
@@ -189,12 +176,14 @@ class ParallelMaxRFC(MaxRFC):
     def __init__(
         self,
         config: MaxRFCConfig | None = None,
-        parallel: ParallelConfig | None = None,
+        workers: int = 2,
         *,
         checkpoint=None,
     ) -> None:
         super().__init__(config)
-        self.parallel = parallel or ParallelConfig()
+        #: Pool size.  ``<= 1`` runs the serial search — the coordinator
+        #: never spawns a pool it cannot use.
+        self.workers = workers
         #: Optional checkpoint sink (``save(state)/load()/discard()``, e.g. a
         #: :class:`repro.durability.CheckpointHandle`).  When set, the pool
         #: run persists ``(incumbent, completed shards, partial stats)`` after
@@ -216,16 +205,12 @@ class ParallelMaxRFC(MaxRFC):
         stats: SearchStats,
         deadline: Deadline,
     ) -> frozenset:
-        workers = self.parallel.workers
+        workers = self.workers
         if workers <= 1 or graph.num_vertices == 0:
             return super()._search_components(graph, model, best, stats, deadline)
         kernel = graph.compile()
         plan = plan_shards(
-            kernel,
-            model,
-            incumbent_size=len(best),
-            workers=workers,
-            split_threshold=self.parallel.split_threshold,
+            kernel, model, incumbent_size=len(best), workers=workers
         )
         telemetry = dict(plan.summary())
         telemetry["workers"] = workers
@@ -304,28 +289,34 @@ class ParallelMaxRFC(MaxRFC):
             ordering=self.config.ordering,
             deadline=deadline,
             branch_limit=self.config.branch_limit,
-            seed_size=len(best),
         )
-        context = _fork_context()
-        channel = context.Value("q", len(best)) if context is not None else None
-        branch_counter = (
-            context.Value("q", 0)
-            if context is not None and self.config.branch_limit is not None
-            else None
-        )
-        telemetry["incumbent_channel"] = channel is not None
-        pool_size = min(self.parallel.workers, len(plan.shards))
+        context = _pool_context()
+        shared = {
+            # Starts at the seed, so every shard prunes against it.
+            "channel": context.Value("q", len(best)),
+            "branch_counter": context.Value("q", 0),
+            # Written only by the poller; a byte needs no lock.
+            "stop": context.Value("b", 0, lock=False),
+        }
+        stop = shared["stop"]
+
+        def stopping() -> bool:
+            return deadline.expired() or bool(stop.value)
+
+        pool_size = min(self.workers, len(plan.shards))
         started = time.monotonic()
         poller = None
-        if self.on_improve is not None and channel is not None:
+        if self.on_improve is not None or self.stop_event is not None:
             # Streaming tap: workers publish incumbent *sizes* to the
             # shared channel; a coordinator-side thread surfaces every
             # increase through on_improve.  The clique itself stays in
             # the worker until its shard returns, so channel events
             # carry ``clique=None`` — the merged final result delivers
-            # the vertices.  One poller spans every retry round: respawned
-            # pools inherit the same channel.
-            poller = _ChannelPoller(channel, len(best), self._notify_improve)
+            # the vertices.  The same thread turns stop_event into the
+            # workers' stop flag.  One poller spans every retry round:
+            # respawned pools receive the same shared values.
+            notify = self._notify_improve if self.on_improve is not None else None
+            poller = _Poller(shared["channel"], notify, self.stop_event, stop)
             poller.start()
 
         attempts: dict[int, int] = {shard.index: 0 for shard in plan.shards}
@@ -341,17 +332,16 @@ class ParallelMaxRFC(MaxRFC):
         serial_failures: dict[int, str] = {}
         try:
             while pending:
-                if pools_created > 0 and deadline.expired():
-                    # Out of budget before the retry round: keep what
-                    # completed, report the truncation honestly.
+                if pools_created > 0 and stopping():
+                    # Out of budget (or stopped) before the retry round:
+                    # keep what completed, report the truncation honestly.
                     budget_stop = True
                     pending = []
                     break
                 try:
                     failed, broke = self._run_batch(
-                        pending, payload, context, channel,
-                        branch_counter, pool_size, attempts, results,
-                        failures, on_result=persist,
+                        pending, payload, context, shared, pool_size,
+                        attempts, results, failures, on_result=persist,
                     )
                 except OSError:
                     if pools_created == 0:
@@ -382,15 +372,13 @@ class ParallelMaxRFC(MaxRFC):
                 )
                 serial_views: dict = {}
                 for shard in serial_queue:
-                    if deadline.expired():
+                    if stopping():
                         budget_stop = True
                         break
                     attempts[shard.index] += 1
                     try:
                         results[shard.index] = worker_module.solve_shard(
-                            payload, shard,
-                            channel=channel,
-                            branch_counter=branch_counter,
+                            payload, shard, **shared,
                             views=serial_views,
                             attempt=attempts[shard.index],
                         )
@@ -402,7 +390,7 @@ class ParallelMaxRFC(MaxRFC):
                         )
         finally:
             # Without the stop the daemon poller would keep polling the
-            # shared channel for the life of the process.
+            # shared values for the life of the process.
             if poller is not None:
                 poller.stop()
 
@@ -554,8 +542,7 @@ class ParallelMaxRFC(MaxRFC):
         shards: list[Shard],
         payload: WorkerPayload,
         context,
-        channel,
-        branch_counter,
+        shared: dict,
         pool_size: int,
         attempts: dict[int, int],
         results: dict,
@@ -577,46 +564,34 @@ class ParallelMaxRFC(MaxRFC):
             max_workers=min(pool_size, len(shards)),
             mp_context=context,
             initializer=worker_module._init_worker,
-            initargs=(payload,),
+            initargs=(payload, shared),
         ) as pool:
-            # The shared Values are inherited at fork time, and the pool
-            # forks its workers lazily during submit — so the globals must
-            # stay parked (and other threads' solves held off) until every
-            # submit has happened and all pool workers exist.
-            with _PARK_LOCK:
-                worker_module._PARENT_CHANNEL = channel
-                worker_module._PARENT_BRANCH_COUNTER = branch_counter
+            futures = []
+            for position, shard in enumerate(shards):
+                attempts[shard.index] += 1
+                faults.maybe_fire(
+                    "pool.submit",
+                    shard=shard.index,
+                    attempt=attempts[shard.index],
+                )
                 try:
-                    futures = []
-                    for position, shard in enumerate(shards):
-                        attempts[shard.index] += 1
-                        faults.maybe_fire(
-                            "pool.submit",
-                            shard=shard.index,
-                            attempt=attempts[shard.index],
+                    futures.append(pool.submit(
+                        worker_module.run_shard, shard, attempts[shard.index],
+                    ))
+                except BrokenProcessPool:
+                    # A worker died during pool start-up (the pool starts
+                    # its workers lazily, so an initializer crash can
+                    # surface *synchronously* on a later submit).
+                    # Everything not yet submitted fails this round and
+                    # retries like any other broken-pool loss.
+                    broke = True
+                    for missed in shards[position:]:
+                        failed.append(missed)
+                        failures[missed.index] = (
+                            "BrokenProcessPool: a worker process died "
+                            "before submit"
                         )
-                        try:
-                            futures.append(pool.submit(
-                                worker_module.run_shard, shard,
-                                attempts[shard.index],
-                            ))
-                        except BrokenProcessPool:
-                            # A worker died during pool start-up (the pool
-                            # forks lazily, so an initializer crash can
-                            # surface *synchronously* on a later submit).
-                            # Everything not yet submitted fails this round
-                            # and retries like any other broken-pool loss.
-                            broke = True
-                            for missed in shards[position:]:
-                                failed.append(missed)
-                                failures[missed.index] = (
-                                    "BrokenProcessPool: a worker process "
-                                    "died before submit"
-                                )
-                            break
-                finally:
-                    worker_module._PARENT_CHANNEL = None
-                    worker_module._PARENT_BRANCH_COUNTER = None
+                    break
             # futures align with the submitted prefix of ``shards``; the
             # unsubmitted tail is already in ``failed``.
             for shard, future in zip(shards, futures):
@@ -643,13 +618,11 @@ def solve_parallel(
     *,
     workers: int = 2,
     config: MaxRFCConfig | None = None,
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
 ) -> SearchResult:
     """Convenience wrapper: solve with the parallel executor.
 
-    Equivalent to ``ParallelMaxRFC(config, ParallelConfig(...)).solve(...)``;
-    the unified API reaches the same code through ``workers=N`` on a
+    Equivalent to ``ParallelMaxRFC(config, workers).solve(...)``; the
+    unified API reaches the same code through ``workers=N`` on a
     :class:`~repro.api.query.FairCliqueQuery`.
     """
-    parallel = ParallelConfig(workers=workers, split_threshold=split_threshold)
-    return ParallelMaxRFC(config, parallel).solve(graph, k, delta)
+    return ParallelMaxRFC(config, workers).solve(graph, k, delta)

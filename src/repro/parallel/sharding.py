@@ -14,19 +14,28 @@ subtree rooted at position ``p`` only branches over candidates ranked above
 ``p``, so subtree cost falls sharply with ``p`` — contiguous chunks would
 hand one worker all the expensive low-rank roots.
 
-The plan replicates the serial component schedule exactly — same
-``(-max core, min tie key)`` order, same minimum-size / per-attribute
-feasibility filters — so a one-worker plan visits components in the same
-order the serial kernel search does.
+The plan is the only component schedule in the package: the serial search
+(:meth:`repro.search.maxrfc.MaxRFC._search_components`) runs the one-worker
+plan, in which nothing splits, and every searcher — serial, pool worker or
+the coordinator's serial fallback — builds its component through
+:func:`component_view`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.graph.attributed_graph import AttributedGraph
 from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
+from repro.kernel.cores import colorful_core_order
+from repro.kernel.view import SubgraphView
 from repro.models.base import ActiveModel
+from repro.search.ordering import OrderingStrategy, compute_ordering
+
+#: Components at most this large always run as one shard; larger ones split
+#: when they hold more than a ``1/workers`` share of the surviving vertices.
+SPLIT_THRESHOLD = 96
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,6 @@ def plan_shards(
     *,
     incumbent_size: int = 0,
     workers: int = 2,
-    split_threshold: int = 96,
 ) -> ShardPlan:
     """Plan the shard list for a compiled (reduced) kernel snapshot.
 
@@ -85,8 +93,9 @@ def plan_shards(
     biggest-core-first so the pool starts the most promising work
     immediately.  A component is split (into ``max(2, 2 * workers)``
     round-robin root-subtree shards) only when it is both larger than
-    ``split_threshold`` *and* too large to balance whole — strictly more
-    than a ``1/workers`` share of the surviving vertices.
+    :data:`SPLIT_THRESHOLD` *and* too large to balance whole — strictly more
+    than a ``1/workers`` share of the surviving vertices, which one worker
+    never exceeds.
     Several similar-sized components already balance across the pool by
     themselves; splitting them would only multiply per-worker view
     construction.
@@ -129,7 +138,7 @@ def plan_shards(
     searched = len(surviving)
     split = 0
     for component_index, size in surviving:
-        if size <= split_threshold or size * workers <= total_size:
+        if size <= SPLIT_THRESHOLD or size * workers <= total_size:
             shards.append(Shard(len(shards), component_index, size))
             continue
         split += 1
@@ -144,3 +153,25 @@ def plan_shards(
                 len(shards), component_index, size, tuple(bucket),
             ))
     return ShardPlan(tuple(shards), searched, split, skipped)
+
+
+def component_view(
+    kernel: GraphKernel,
+    component_index: int,
+    ordering: OrderingStrategy,
+    graph: AttributedGraph | None = None,
+) -> SubgraphView:
+    """The rank-ordered view of one component of ``kernel``.
+
+    CalColorOD runs on the kernel.  The other orderings are defined on the
+    dict graph the kernel was compiled from: pass it as ``graph``, or one is
+    materialised from the kernel, which *is* that graph.
+    """
+    mask = kernel.component_masks()[component_index]
+    if ordering is OrderingStrategy.COLORFUL_CORE:
+        return SubgraphView(kernel, graph, colorful_core_order(kernel, mask))
+    if graph is None:
+        graph = kernel.materialize()
+    component = [kernel.vertex_of[index] for index in bits_list(mask)]
+    rank = compute_ordering(graph, component, ordering)
+    return SubgraphView(kernel, graph, sorted(component, key=lambda v: rank[v]))

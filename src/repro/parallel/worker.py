@@ -1,23 +1,29 @@
 """Worker-side machinery of the parallel executor.
 
 Each pool worker is initialised exactly once with a :class:`WorkerPayload`
-(the compiled kernel snapshot plus the search parameters).  Under the
-``fork`` start method the worker inherits the payload copy-on-write and
-nothing is pickled; where fork is absent the payload pickles once per
-*worker*, never per shard.  From then on every shard the worker receives
-references the snapshot by component index; component views and orderings
-are built lazily and cached in the worker (the "fork-safe per-worker kernel
-cache"), so two shards of the same split component share one
+(the compiled kernel snapshot plus the search parameters) and the solve's
+three shared values.  Under the ``fork`` start method the worker inherits
+them copy-on-write and nothing is pickled; where fork is absent they pickle
+once per *worker*, never per shard.  From then on every shard the worker
+receives references the snapshot by component index; component views are
+built lazily by :func:`~repro.parallel.sharding.component_view` and cached in
+the worker, so two shards of the same split component share one
 :class:`~repro.kernel.view.SubgraphView`.
 
-The incumbent channel is a ``multiprocessing.Value`` holding the size of the
-best fair clique found anywhere.  It cannot be pickled into ``initargs``, so
-the parent parks it in :data:`_PARENT_CHANNEL` immediately before the pool
-forks and the children inherit it (fork start method only; without fork the
-executor simply runs without cross-shard tightening, which is slower but
-still exact).  Workers poll the channel every :data:`POLL_INTERVAL` branches
-and raise their local pruning threshold; they publish through
-``on_improve`` whenever they record a strictly larger clique.
+The shared values are ``multiprocessing.Value`` objects, handed over as
+pool ``initargs`` (which every start method supports):
+
+* the incumbent channel holds the size of the best fair clique found
+  anywhere.  Workers poll it every :data:`POLL_INTERVAL` branches and raise
+  their local pruning threshold; they publish through ``on_improve``
+  whenever they record a strictly larger clique;
+* the branch counter totals explored branches across shards, so
+  ``branch_limit`` caps the whole solve;
+* the stop flag is set by the coordinator when the caller's ``stop_event``
+  fires; workers test it together with the deadline every 64 branches.
+
+A worker exits when its coordinator dies: a daemon thread watches the
+parent pid, so a SIGKILLed coordinator leaves no orphaned workers.
 
 A shard that exhausts its time/branch budget raises internally, keeps the
 best clique it had found, and reports ``aborted=True`` — the coordinator
@@ -32,27 +38,27 @@ of the snapshot, which is what makes the coordinator's retry loop sound.
 
 from __future__ import annotations
 
+import os
 import signal
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
-from repro.kernel.cores import colorful_core_order
 from repro.kernel.search import KernelBranchAndBound
-from repro.kernel.view import SubgraphView
 from repro.models.base import ActiveModel
-from repro.parallel.sharding import Shard
+from repro.parallel.sharding import Shard, component_view
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline
-from repro.search.ordering import OrderingStrategy, compute_ordering
+from repro.search.ordering import OrderingStrategy
 from repro.search.statistics import SearchStats
 
 
 #: Branches between incumbent-channel polls inside a worker.  Smaller values
 #: propagate incumbents faster but pay one shared-value read per interval.
+#: A multiple of 64: the budget check only looks every 64 branches.
 POLL_INTERVAL = 256
 
 
@@ -76,7 +82,6 @@ class WorkerPayload:
     ordering: OrderingStrategy
     deadline: Deadline
     branch_limit: int | None
-    seed_size: int
 
 
 @dataclass
@@ -90,26 +95,50 @@ class ShardResult:
     seconds: float = 0.0
 
 
-#: Parked by the parent right before the pool forks; children inherit them.
-_PARENT_CHANNEL = None
-_PARENT_BRANCH_COUNTER = None
-
-#: Per-worker state: payload, channels, and the component view cache.
+#: Per-worker state: payload, shared values, and the component view cache.
 _STATE: dict = {}
 
 
-def _init_worker(payload: WorkerPayload) -> None:
-    """Pool initializer: cache the payload and adopt the inherited channels."""
+def _init_worker(payload: WorkerPayload, shared: dict) -> None:
+    """Pool initializer: cache the payload and the solve's shared values.
+
+    ``shared`` maps :func:`solve_shard`'s ``channel``, ``branch_counter``
+    and ``stop`` arguments to the coordinator's values.
+    """
     faults.mark_worker_process()
     faults.maybe_fire("worker.init")
     _STATE.clear()
     _STATE["payload"] = payload
-    _STATE["channel"] = _PARENT_CHANNEL
-    _STATE["branch_counter"] = _PARENT_BRANCH_COUNTER
+    _STATE["shared"] = shared
     _STATE["views"] = {}
     # Recursion can go as deep as the largest clique; give it headroom
     # (mirrors the serial search's guard, which runs in the coordinator).
     sys.setrecursionlimit(max(sys.getrecursionlimit(), payload.kernel.n + 1000))
+    _watch_parent()
+
+
+def _watch_parent() -> None:
+    """Start a daemon thread that exits the worker once its parent is gone.
+
+    Polling ``os.getppid()`` works on every POSIX system, unlike Linux's
+    ``PR_SET_PDEATHSIG``, which also fires when merely the forking *thread*
+    of a still-live coordinator exits.  The thread starts with SIGTERM
+    blocked, so a terminating pool's SIGTERM always lands on the main
+    thread, where :func:`_locked` defers it while a shared lock is held.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while True:
+            time.sleep(0.5)
+            if os.getppid() != parent:
+                os._exit(1)
+
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        threading.Thread(target=watch, daemon=True).start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 @contextmanager
@@ -134,74 +163,36 @@ def _read(shared) -> int:
         return shared.value
 
 
-#: Cache key for the lazily-materialised dict graph inside a view cache.
-_GRAPH_KEY = "__graph__"
-
-
-def _component_view_of(
-    payload: WorkerPayload, component_index: int, views: dict | None
-) -> SubgraphView:
-    """Rank-ordered view of one component, cached in ``views`` when given.
-
-    Workers pass their per-process cache (two shards of one split component
-    share a view); the coordinator's serial fallback passes its own dict.
-    """
-    if views is None:
-        views = {}
-    view = views.get(component_index)
-    if view is None:
-        kernel = payload.kernel
-        mask = kernel.component_masks()[component_index]
-        if payload.ordering is OrderingStrategy.COLORFUL_CORE:
-            ordered = colorful_core_order(kernel, mask)
-            graph = views.get(_GRAPH_KEY)
-        else:
-            # Non-default orderings are defined on the dict graph; the kernel
-            # *is* the reduced graph, so materialise it once per worker.
-            graph = views.get(_GRAPH_KEY)
-            if graph is None:
-                graph = views[_GRAPH_KEY] = kernel.materialize()
-            component = [kernel.vertex_of[i] for i in bits_list(mask)]
-            rank = compute_ordering(graph, component, payload.ordering)
-            ordered = sorted(component, key=lambda v: rank[v])
-        view = SubgraphView(kernel, graph, ordered)
-        views[component_index] = view
-    return view
-
-
 def _make_budget_check(searcher: KernelBranchAndBound, payload: WorkerPayload,
-                       channel, branch_counter, published: list):
+                       channel, branch_counter, stop, published: list):
     """Per-branch callback: budget enforcement + incumbent-channel polling.
 
-    ``branch_limit`` is a *global* budget, matching the serial search's
-    contract of one cap on total explored branches.  With a shared counter
-    (fork available) every worker publishes its local count every 64
-    branches and aborts once the global total exceeds the limit — the
-    overshoot is bounded by ``64 * pool size``.  Without the shared counter
-    the limit degrades to a per-shard cap (still an abort signal, but a
-    looser one).  ``published`` is a one-cell list tracking how many of this
-    shard's branches have already been added to the global counter, so
-    :func:`run_shard` can flush the remainder when the shard ends.
+    Every 64 branches the shard stops on an expired deadline or a set stop
+    flag.  ``branch_limit`` is a *global* budget, matching the serial
+    search's contract of one cap on total explored branches: every shard
+    publishes its local count to the shared counter every 64 branches and
+    aborts once the total exceeds the limit — the overshoot is bounded by
+    ``64 * pool size``.  ``published`` is a one-cell list tracking how many
+    of this shard's branches the counter already holds, so
+    :func:`solve_shard` can flush the remainder when the shard ends.
     """
     deadline = payload.deadline
     branch_limit = payload.branch_limit
 
     def check(stats: SearchStats) -> None:
         branches = stats.branches_explored
-        if branches % 64 == 0 and deadline.expired():
+        if branches % 64:
+            return
+        if deadline.expired() or stop.value:
             raise ShardBudgetExceeded()
         if branch_limit is not None:
-            if branch_counter is not None:
-                if branches % 64 == 0:
-                    with _locked(branch_counter):
-                        branch_counter.value += branches - published[0]
-                        total = branch_counter.value
-                    published[0] = branches
-                    if total > branch_limit:
-                        raise ShardBudgetExceeded()
-            elif branches > branch_limit:
+            with _locked(branch_counter):
+                branch_counter.value += branches - published[0]
+                total = branch_counter.value
+            published[0] = branches
+            if total > branch_limit:
                 raise ShardBudgetExceeded()
-        if channel is not None and branches % POLL_INTERVAL == 0:
+        if branches % POLL_INTERVAL == 0:
             shared = _read(channel)
             if shared > searcher.best_size:
                 searcher.best_size = shared
@@ -228,11 +219,8 @@ def run_shard(shard: Shard, attempt: int = 1) -> ShardResult:
     and let the retry succeed.
     """
     return solve_shard(
-        _STATE["payload"], shard,
-        channel=_STATE["channel"],
-        branch_counter=_STATE["branch_counter"],
-        views=_STATE["views"],
-        attempt=attempt,
+        _STATE["payload"], shard, **_STATE["shared"],
+        views=_STATE["views"], attempt=attempt,
     )
 
 
@@ -240,16 +228,18 @@ def solve_shard(
     payload: WorkerPayload,
     shard: Shard,
     *,
-    channel=None,
-    branch_counter=None,
-    views: dict | None = None,
+    channel,
+    branch_counter,
+    stop,
+    views: dict,
     attempt: int = 1,
 ) -> ShardResult:
     """Solve one shard against an explicit payload (no worker globals).
 
     This is the pure function behind :func:`run_shard`; the coordinator
     calls it directly — in-process — when a shard has exhausted its pool
-    retries and falls back to serial execution.
+    retries and falls back to serial execution.  ``views`` caches component
+    views across calls.
     """
     faults.maybe_fire(
         "shard.run",
@@ -258,42 +248,36 @@ def solve_shard(
         attempt=attempt,
     )
     started = time.monotonic()
+    view = views.get(shard.component_index)
+    if view is None:
+        view = views[shard.component_index] = component_view(
+            payload.kernel, shard.component_index, payload.ordering
+        )
     stats = SearchStats()
-    best_size = payload.seed_size
-    if channel is not None:
-        shared = _read(channel)
-        if shared > best_size:
-            best_size = shared
     searcher = KernelBranchAndBound(
-        view=_component_view_of(payload, shard.component_index, views),
+        view=view,
         model=payload.model,
         stats=stats,
         bound_depth=payload.bound_depth,
         check_budget=_noop_budget,
-        best_size=best_size,
+        best_size=_read(channel),
         best_clique=frozenset(),
-        has_budget=(
-            channel is not None
-            or payload.deadline.bounded
-            or payload.branch_limit is not None
-        ),
-        on_improve=_make_publisher(channel) if channel is not None else None,
+        on_improve=_make_publisher(channel),
     )
     published = [0]
     searcher.check_budget = _make_budget_check(
-        searcher, payload, channel, branch_counter, published
+        searcher, payload, channel, branch_counter, stop, published
     )
+    roots = None
+    if shard.root_positions is not None:
+        roots = sum(1 << position for position in shard.root_positions)
     aborted = False
     try:
-        if shard.root_positions is None:
-            searcher.run()
-        else:
-            for position in shard.root_positions:
-                searcher.run_root_branch(position)
+        searcher.run(roots)
     except ShardBudgetExceeded:
         aborted = True
     finally:
-        if branch_counter is not None and payload.branch_limit is not None:
+        if payload.branch_limit is not None:
             # Flush the unpublished tail so the global count stays exact
             # between shards.
             with _locked(branch_counter):

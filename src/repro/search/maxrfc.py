@@ -46,7 +46,7 @@ from repro.graph.validation import validate_parameters
 from repro.models.base import ActiveModel, FairnessModel, RelativeFairness
 from repro.reduction.pipeline import DEFAULT_STAGES, PipelineResult, ReductionPipeline
 from repro.resilience.deadline import Deadline
-from repro.search.ordering import OrderingStrategy, compute_ordering
+from repro.search.ordering import OrderingStrategy
 from repro.search.result import SearchResult
 from repro.search.statistics import SearchStats
 from repro.search.verification import fairness_satisfied
@@ -259,64 +259,37 @@ class MaxRFC:
     ) -> frozenset:
         """Branch over every connected component of ``graph``, best first.
 
-        Components are searched in decreasing degeneracy (the only place a
-        big clique can hide), so the incumbent grows early and the remaining
-        components are pruned cheaply; ties break on the smallest member's
+        The schedule is the one-worker shard plan
+        (:func:`~repro.parallel.sharding.plan_shards`, in which nothing
+        splits): components in decreasing degeneracy (the only place a big
+        clique can hide), so the incumbent grows early and the remaining
+        components are pruned cheaply, ties broken on the smallest member's
         canonical key, so the visit order (and therefore the reported
         optimum among equally-sized cliques) never depends on the insertion
-        order of the graph being searched.  Component discovery rides the
-        adjacency bitsets, the degeneracy sort reads the kernel's core
-        numbers, and the per-attribute feasibility filter is an AND +
-        popcount per component and attribute value.
+        order of the graph being searched.  Components too small to beat
+        the incumbent or short of a per-value quota are never searched.
         """
         if not graph.num_vertices:
             return best
-        from repro.kernel.bitops import bits_list
-        from repro.kernel.cores import colorful_core_order
         from repro.kernel.search import KernelBranchAndBound
-        from repro.kernel.view import SubgraphView
+        from repro.parallel.sharding import component_view, plan_shards
 
         # Recursion can go as deep as the largest clique; give it headroom.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), graph.num_vertices + 1000))
         kernel = graph.compile()
-        cores = kernel.core_numbers()
-        tie_keys = kernel.tie_keys
-        entries = []
-        for mask in kernel.component_masks():
-            members = bits_list(mask)
-            entries.append((
-                -max(cores[index] for index in members),
-                min(tie_keys[index] for index in members),
-                mask,
-                members,
-            ))
-        entries.sort(key=lambda entry: entry[:2])
-        minimum_size = model.min_size
-        lower = model.lower
-        domain_masks = model.kernel_masks(kernel)
+        plan = plan_shards(kernel, model, incumbent_size=len(best), workers=1)
         has_budget = (
             deadline.bounded
             or self.config.branch_limit is not None
             or self.stop_event is not None
         )
-        use_color_order = self.config.ordering is OrderingStrategy.COLORFUL_CORE
-        for _, _, mask, members in entries:
-            size = len(members)
-            if size < minimum_size or size <= len(best):
+        for shard in plan.shards:
+            if shard.component_size <= len(best):
                 continue
-            if any(
-                (mask & domain_masks[index]).bit_count() < lower[index]
-                for index in range(len(lower))
-            ):
-                continue
-            if use_color_order:
-                ordered = colorful_core_order(kernel, mask)
-            else:
-                component = [kernel.vertex_of[index] for index in members]
-                rank = compute_ordering(graph, component, self.config.ordering)
-                ordered = sorted(component, key=lambda v: rank[v])
             searcher = KernelBranchAndBound(
-                view=SubgraphView(kernel, graph, ordered),
+                view=component_view(
+                    kernel, shard.component_index, self.config.ordering, graph
+                ),
                 model=model,
                 stats=stats,
                 bound_depth=self.config.bound_depth,

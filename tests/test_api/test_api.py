@@ -309,13 +309,6 @@ class TestBatchLayer:
         hits = [report.metadata.get("reduction_cache_hit") for report in reports]
         assert hits == [False, True, True]
 
-    def test_unshared_reduction_never_hits_cache(self):
-        graph = paper_example_graph()
-        queries = query_grid(ks=(3,), deltas=(0, 1))
-        reports = solve_many(graph, queries, share_reduction=False)
-        hits = [report.metadata.get("reduction_cache_hit") for report in reports]
-        assert hits == [False, False]
-
     def test_parallel_execution_matches_sequential(self):
         graph = paper_example_graph()
         queries = query_grid(models=("relative", "weak"), ks=(2, 3), deltas=(0, 1))

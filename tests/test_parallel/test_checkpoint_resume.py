@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph.generators import community_graph
 from repro.models import make_model
-from repro.parallel import ParallelConfig, ParallelMaxRFC
+from repro.parallel import ParallelMaxRFC
 from repro.parallel.executor import CHECKPOINT_SCHEMA
 
 MODELS = ("relative", "weak", "strong", "multi_weak")
@@ -55,9 +55,7 @@ class FailingSink(RecordingSink):
 
 
 def _solver(workers: int, checkpoint=None) -> ParallelMaxRFC:
-    return ParallelMaxRFC(
-        None, ParallelConfig(workers=workers), checkpoint=checkpoint
-    )
+    return ParallelMaxRFC(None, workers, checkpoint=checkpoint)
 
 
 class TestResumeParityMatrix:

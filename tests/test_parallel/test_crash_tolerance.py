@@ -15,11 +15,19 @@ so the suite itself is never at risk).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import FairCliqueQuery, solve
 from repro.graph.generators import community_graph
 from repro.parallel import executor, worker
@@ -116,11 +124,23 @@ class TestTerminatedWorker:
         """A worker caught holding the incumbent channel's lock must release
         it before dying, or the serial fallback's next channel read blocks
         forever."""
+        self._terminate_while_holding(watch_parent=False)
+
+    def test_parent_watch_thread_leaves_sigterm_to_the_lock_holder(self):
+        """Pool workers run a parent-watch thread; SIGTERM must not be
+        delivered to it (which would kill the worker mid-lock) while the
+        main thread defers the signal."""
+        self._terminate_while_holding(watch_parent=True)
+
+    @staticmethod
+    def _terminate_while_holding(watch_parent: bool) -> None:
         context = multiprocessing.get_context("fork")
         channel = context.Value("q", 0)
         here, there = context.Pipe()
 
         def hold() -> None:
+            if watch_parent:
+                worker._watch_parent()
             with worker._locked(channel):
                 there.send("holding")
                 there.recv()  # returns only after the SIGTERM was sent
@@ -208,3 +228,82 @@ class TestSerialFallback:
         telemetry = excinfo.value.telemetry
         assert telemetry is not None
         assert telemetry["serial_fallbacks"] >= 1
+
+
+def _children(pid: int) -> dict[int, str]:
+    """``{child pid: start time}`` of a live process, from ``/proc``."""
+    children: dict[int, str] = {}
+    for listing in Path(f"/proc/{pid}/task").glob("*/children"):
+        for child in listing.read_text().split():
+            start = _start_time(int(child))
+            if start is not None:
+                children[int(child)] = start
+    return children
+
+
+def _start_time(pid: int) -> str | None:
+    """Start time of a live, non-zombie ``pid`` (None when gone or a zombie)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # Fields after the parenthesised command: state is the first, the
+    # start time (field 22 of proc(5)) the twentieth.
+    fields = stat.rsplit(")", 1)[1].split()
+    return None if fields[0] == "Z" else fields[19]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads worker pids from /proc"
+)
+class TestOrphanedWorkers:
+    """Pool workers exit once their coordinator is SIGKILLed."""
+
+    COORDINATOR = textwrap.dedent("""
+        from repro.api import FairCliqueQuery, solve
+        from repro.graph.generators import community_graph
+        from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
+
+        slow = FaultPlan(specs=(FaultSpec(
+            point="shard.run", action="sleep", delay=30.0, times=None,
+            scope="worker",
+        ),))
+        graph = community_graph(3, 16, intra_probability=0.6, inter_edges=0,
+                                seed=21)
+        with fault_injection(slow):
+            solve(graph, FairCliqueQuery(model="relative", k=2, delta=1,
+                                         workers=2))
+    """)
+
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        source = Path(repro.__file__).resolve().parents[1]
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", self.COORDINATOR],
+            env=dict(os.environ, PYTHONPATH=str(source)),
+            stdout=subprocess.DEVNULL,
+        )
+        workers: dict[int, str] = {}
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert coordinator.poll() is None, "the coordinator exited early"
+                workers = _children(coordinator.pid)
+                time.sleep(0.05)
+            assert len(workers) == 2, workers
+            coordinator.kill()
+            coordinator.wait(10)
+            deadline = time.monotonic() + 3
+            while time.monotonic() < deadline:
+                alive = [pid for pid, start in workers.items()
+                         if _start_time(pid) == start]
+                if not alive:
+                    break
+                time.sleep(0.05)
+            assert not alive, f"workers {alive} outlived their coordinator"
+        finally:
+            coordinator.kill()
+            coordinator.wait(10)
+            for pid, start in workers.items():
+                if _start_time(pid) == start:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import threading
 
 import pytest
 
-from repro.api import FairCliqueQuery, query_grid, solve, solve_many
+from repro.api import FairCliqueQuery, solve
 from repro.api.batch import BatchExecutor, _check_executor
 from repro.exceptions import InvalidParameterError
 from repro.graph.builders import complete_graph, from_edge_list, paper_example_graph
@@ -25,24 +25,48 @@ from repro.graph.generators import (
 )
 from repro.kernel.compile import GraphKernel, compile_kernel
 from repro.kernel.search import KernelBranchAndBound
-from repro.kernel.view import SubgraphView
 from repro.models import make_model
 from repro.parallel import (
-    ParallelConfig,
     ParallelMaxRFC,
     WorkerPayload,
     plan_shards,
     solve_parallel,
 )
 from repro.parallel import executor as executor_module
+from repro.parallel import sharding
 from repro.parallel.worker import solve_shard
 from repro.resilience.deadline import Deadline
+from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.search.maxrfc import MaxRFC, build_search_config
 from repro.search.statistics import SearchStats
 from repro.search.verification import is_relative_fair_clique
 from repro.variants.multi_attribute import is_multi_attribute_weak_fair_clique
 
 MODELS = ("relative", "weak", "strong", "multi_weak")
+
+requires_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the fork start method is unavailable",
+)
+
+
+@pytest.fixture
+def split_above(monkeypatch):
+    """Set :data:`repro.parallel.sharding.SPLIT_THRESHOLD` for one test."""
+
+    def set_threshold(value: int) -> None:
+        monkeypatch.setattr(sharding, "SPLIT_THRESHOLD", value)
+
+    return set_threshold
+
+
+def _shared_values() -> dict:
+    """Fresh shared values for a direct :func:`solve_shard` call."""
+    return {
+        "channel": multiprocessing.Value("q", 0),
+        "branch_counter": multiprocessing.Value("q", 0),
+        "stop": multiprocessing.Value("b", 0, lock=False),
+    }
 
 
 def _multi_component_graph():
@@ -116,25 +140,20 @@ class TestDeterminismAcrossModelsAndWorkers:
             assert telemetry["workers"] == workers
             assert telemetry["shards"] >= telemetry["components_searched"]
 
-    def test_split_components_return_identical_size(self):
+    def test_split_components_return_identical_size(self, split_above):
         """Forcing one-level splits must not change the answer."""
         graph = community_graph(1, 36, intra_probability=0.55,
                                 inter_edges=0, seed=4)
         serial = MaxRFC(build_search_config()).solve(graph, 2, 1)
-        result = ParallelMaxRFC(
-            build_search_config(),
-            ParallelConfig(workers=2, split_threshold=8),
-        ).solve(graph, 2, 1)
+        split_above(8)
+        result = ParallelMaxRFC(build_search_config(), workers=2).solve(graph, 2, 1)
         assert result.size == serial.size
         telemetry = result.stats.extra["parallel"]
         assert telemetry["components_split"] == 1
         assert telemetry["shards"] > 1
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the fork start method is unavailable",
-)
+@requires_fork
 class TestForkInheritance:
     """The pool hands its payload over without pickling under fork."""
 
@@ -187,23 +206,22 @@ class TestPickledPayload:
             ordering=config.ordering,
             deadline=Deadline.unbounded(),
             branch_limit=None,
-            seed_size=0,
         )
         clone = pickle.loads(pickle.dumps(payload))
         assert type(clone.kernel) is GraphKernel
         for shard in plan.shards:
-            ours = solve_shard(payload, shard, views={})
-            theirs = solve_shard(clone, shard, views={})
+            ours = solve_shard(payload, shard, **_shared_values(), views={})
+            theirs = solve_shard(clone, shard, **_shared_values(), views={})
             assert theirs.clique == ours.clique, shard
             assert (
                 theirs.stats.branches_explored == ours.stats.branches_explored
             ), shard
 
     def test_spawned_workers_get_one_pickled_kernel_each(self, monkeypatch):
-        """Emulate a platform without fork: no incumbent channel, and a
-        ``spawn`` pool whose workers can only receive the kernel by pickle.
-        Every shard must still run in a worker, and the kernel must be
-        pickled exactly once per worker process started."""
+        """Emulate a platform without fork: a ``spawn`` pool whose workers
+        can only receive the kernel and the shared values by pickle.  Every
+        shard must still run in a worker, and the kernel must be pickled
+        exactly once per worker process started."""
         graph = _multi_component_graph()
         serial = solve(graph, _query("relative", None))
         pickled: list[None] = []
@@ -216,17 +234,11 @@ class TestPickledPayload:
         monkeypatch.setattr(GraphKernel, "__getstate__", counting)
         started: list = []
         context = _counting_spawn_context(started)
-
-        def spawn_pool(*args, mp_context=None, **kwargs):
-            return ProcessPoolExecutor(*args, mp_context=context, **kwargs)
-
-        monkeypatch.setattr(executor_module, "_fork_context", lambda: None)
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", spawn_pool)
+        monkeypatch.setattr(executor_module, "_pool_context", lambda: context)
         report = solve(graph, _query("relative", 2))
         assert report.size == serial.size
         assert report.optimal
         parallel = report.metadata["parallel"]
-        assert parallel["incumbent_channel"] is False
         assert parallel["serial_fallbacks"] == 0
         assert parallel["shards_retried"] == 0
         assert parallel["pool_breaks"] == 0
@@ -251,13 +263,21 @@ class TestBudgetAborts:
         if report.found:
             assert is_relative_fair_clique(hard, report.clique, 2, 1)
 
-    def test_branch_limit_is_global_across_shards(self):
+    @pytest.mark.parametrize("start_method", [
+        pytest.param("fork", marks=requires_fork), "spawn",
+    ])
+    def test_branch_limit_is_global_across_shards(self, start_method,
+                                                  monkeypatch):
         """branch_limit caps *total* explored branches, as in the serial search.
 
         Workers publish to a shared counter every 64 branches, so the
         overshoot is bounded by 64 per pool slot (plus the check that trips
-        mid-publish) — not multiplied by the shard count.
+        mid-publish) — not multiplied by the shard count.  A spawned pool
+        receives the counter through its initializer like a forked one.
         """
+        if start_method == "spawn":
+            context = _counting_spawn_context([])
+            monkeypatch.setattr(executor_module, "_pool_context", lambda: context)
         background = erdos_renyi_graph(0, 0.0)
         hard = quasi_clique_blobs(background, num_blobs=4, blob_size=36,
                                   edge_probability=0.55, seed=7)
@@ -269,14 +289,12 @@ class TestBudgetAborts:
         result = ParallelMaxRFC(
             build_search_config(branch_limit=limit, bound_stack=None,
                                 use_heuristic=False),
-            ParallelConfig(workers=2),
+            workers=2,
         ).solve(hard, 2, 1)
-        telemetry = result.stats.extra["parallel"]
-        if telemetry["incumbent_channel"]:
-            assert result.stats.timed_out
-            # Overshoot is bounded by the unpublished 64-branch windows of
-            # the concurrently running shards.
-            assert result.stats.branches_explored <= limit + 64 * 2 * 2 + 64
+        assert result.stats.timed_out
+        # Overshoot is bounded by the unpublished 64-branch windows of the
+        # concurrently running shards.
+        assert result.stats.branches_explored <= limit + 64 * 2 * 2 + 64
 
     def test_serial_and_parallel_report_aborted_consistently(self):
         graph = _multi_component_graph()
@@ -295,14 +313,14 @@ def _active(graph, model="relative", k=2, delta=1):
 
 
 class TestShardPlanning:
-    def test_plan_covers_every_root_position_exactly_once(self):
+    def test_plan_covers_every_root_position_exactly_once(self, split_above):
         # One 30-vertex component plus a small satellite one: the big
         # component holds more than a 1/workers share, so it must split.
         graph = community_graph(1, 30, intra_probability=0.5,
                                 inter_edges=0, seed=3)
         kernel = graph.compile()
-        plan = plan_shards(kernel, _active(graph), workers=2,
-                           split_threshold=10)
+        split_above(10)
+        plan = plan_shards(kernel, _active(graph), workers=2)
         assert plan.components_split == 1
         positions: list[int] = []
         for shard in plan.shards:
@@ -316,33 +334,37 @@ class TestShardPlanning:
         assert sorted(positions) == list(range(30))
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_oversized_component_splits_two_shards_per_worker(self, workers):
+    def test_oversized_component_splits_two_shards_per_worker(
+        self, workers, split_above,
+    ):
         graph = community_graph(1, 30, intra_probability=0.5,
                                 inter_edges=0, seed=3)
-        plan = plan_shards(graph.compile(), _active(graph), workers=workers,
-                           split_threshold=10)
+        split_above(10)
+        plan = plan_shards(graph.compile(), _active(graph), workers=workers)
         assert plan.components_split == 1
         assert len(plan.shards) == 2 * workers
         assert all(shard.root_positions for shard in plan.shards)
 
-    def test_split_never_deals_fewer_than_one_root_per_shard(self):
+    def test_split_never_deals_fewer_than_one_root_per_shard(
+        self, split_above,
+    ):
         """A component smaller than ``2 * workers`` splits into one shard
         per root position rather than into empty shards."""
         graph = community_graph(1, 12, intra_probability=0.7,
                                 inter_edges=0, seed=3)
-        plan = plan_shards(graph.compile(), _active(graph), workers=8,
-                           split_threshold=4)
+        split_above(4)
+        plan = plan_shards(graph.compile(), _active(graph), workers=8)
         assert plan.components_split == 1
         assert sorted(shard.root_positions for shard in plan.shards) == [
             (position,) for position in range(12)
         ]
 
-    def test_balanced_components_stay_whole(self):
+    def test_balanced_components_stay_whole(self, split_above):
         """Equal components at pool size balance by themselves — no split."""
         graph = community_graph(2, 30, intra_probability=0.5,
                                 inter_edges=0, seed=3)
-        plan = plan_shards(graph.compile(), _active(graph), workers=2,
-                           split_threshold=10)
+        split_above(10)
+        plan = plan_shards(graph.compile(), _active(graph), workers=2)
         assert plan.components_split == 0
         assert len(plan.shards) == 2
 
@@ -373,34 +395,117 @@ class TestShardPlanning:
         assert plan.shards == ()
 
 
-class TestRunRootBranch:
-    def test_union_of_root_subtrees_equals_whole_component_search(self):
+class TestRunRoots:
+    """``run(roots)`` is the one root loop: whole components and shards."""
+
+    @staticmethod
+    def _component():
         graph = erdos_renyi_graph(24, 0.45, seed=13)
         kernel = graph.compile()
-        from repro.graph.components import connected_components
-        from repro.kernel.cores import colorful_core_order
+        component_index = max(
+            range(len(kernel.component_masks())),
+            key=lambda index: kernel.component_masks()[index].bit_count(),
+        )
+        return graph, kernel, component_index
 
-        component = max(connected_components(graph), key=len)
-        mask = kernel.mask_of(component)
-        ordered = colorful_core_order(kernel, mask)
+    @staticmethod
+    def _searcher(view, model, bound_depth=0):
+        return KernelBranchAndBound(
+            view=view, model=model, stats=SearchStats(),
+            bound_depth=bound_depth, check_budget=lambda stats: None,
+            best_size=0, best_clique=frozenset(), has_budget=False,
+        )
 
+    @pytest.mark.parametrize("bound_depth", [0, 2])
+    def test_full_root_mask_is_the_whole_search(self, bound_depth):
+        """``run()`` and ``run(full_mask)`` visit the same tree: same
+        clique and the same value in every counter."""
+        graph, kernel, index = self._component()
         model = _active(graph)
-
-        def searcher():
-            return KernelBranchAndBound(
-                view=SubgraphView(kernel, graph, ordered),
-                model=model, stats=SearchStats(),
-                bound_depth=0, check_budget=lambda stats: None,
-                best_size=0, best_clique=frozenset(), has_budget=False,
-            )
-
-        whole = searcher()
+        view = sharding.component_view(
+            kernel, index, build_search_config().ordering, graph
+        )
+        whole = self._searcher(view, model, bound_depth)
         whole.run()
-        split = searcher()
-        for position in range(len(ordered) - 1, -1, -1):
-            split.run_root_branch(position)
-        assert split.best_size == whole.best_size
-        assert split.best_clique == whole.best_clique
+        masked = self._searcher(view, model, bound_depth)
+        masked.run(view.full_mask)
+        assert masked.best_clique == whole.best_clique
+        assert masked.stats == whole.stats
+        assert whole.best_size > 0
+
+    def test_every_split_reaches_the_whole_component_optimum(
+        self, split_above,
+    ):
+        """Fresh searchers over the round-robin buckets ``plan_shards``
+        deals, and over every single root position, each reach at most the
+        whole-component best — and the best of them reaches it.  A clique
+        found from a mask of root positions starts at one of them."""
+        graph, kernel, index = self._component()
+        model = _active(graph)
+        view = sharding.component_view(
+            kernel, index, build_search_config().ordering, graph
+        )
+        whole = self._searcher(view, model)
+        whole.run()
+        split_above(4)
+        plan = plan_shards(kernel, model, workers=2)
+        buckets = [
+            shard.root_positions for shard in plan.shards
+            if shard.component_index == index
+        ]
+        assert len(buckets) == 4
+        singles = [(position,) for position in range(view.n)]
+        for roots in (buckets, singles):
+            sizes = []
+            for positions in roots:
+                searcher = self._searcher(view, model)
+                searcher.run(sum(1 << position for position in positions))
+                sizes.append(searcher.best_size)
+                if searcher.best_clique:
+                    first = min(view.verts.index(v) for v in searcher.best_clique)
+                    assert first in positions
+            assert max(sizes) == whole.best_size, roots
+            assert all(size <= whole.best_size for size in sizes), roots
+
+
+class TestConcurrentPools:
+    """Two solves in two threads each hand their own shared values to their
+    own pool: a channel leaking across would over-prune the smaller graph."""
+
+    def test_concurrent_solves_match_their_serial_sizes(self):
+        graphs = (
+            _multi_component_graph(),
+            community_graph(3, 20, intra_probability=0.8, inter_edges=0, seed=5),
+        )
+        options = {"use_heuristic": False}
+
+        def query(workers):
+            return FairCliqueQuery(model="relative", k=2, delta=1,
+                                   workers=workers, options=options)
+
+        serial = [solve(graph, query(None)).size for graph in graphs]
+        assert serial[0] != serial[1]
+        # Slow submits keep both pools starting their workers at once.
+        slow_submits = FaultPlan(specs=(FaultSpec(
+            point="pool.submit", action="sleep", delay=0.02, times=None,
+            scope="coordinator",
+        ),))
+        for _ in range(3):
+            sizes = [None, None]
+            barrier = threading.Barrier(2)
+
+            def run(index):
+                barrier.wait()
+                sizes[index] = solve(graphs[index], query(2)).size
+
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(2)]
+            with fault_injection(slow_submits):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            assert sizes == serial
 
 
 class TestConfiguration:
@@ -422,9 +527,7 @@ class TestConfiguration:
 
     def test_one_worker_never_spawns_a_pool(self):
         graph = _multi_component_graph()
-        result = ParallelMaxRFC(
-            build_search_config(), ParallelConfig(workers=1)
-        ).solve(graph, 2, 1)
+        result = ParallelMaxRFC(build_search_config(), workers=1).solve(graph, 2, 1)
         assert "parallel" not in result.stats.extra
         assert result.size == MaxRFC(build_search_config()).solve(graph, 2, 1).size
 
@@ -443,13 +546,3 @@ class TestBatchExecutor:
             graph.add_vertex("late", "a")
             with pytest.raises(InvalidParameterError, match="mutated"):
                 _check_executor(graph, executor)
-
-    def test_unshared_reduction_still_correct_through_initializer(self):
-        graph = _multi_component_graph()
-        reports = solve_many(
-            graph, query_grid(deltas=(0, 1)), share_reduction=False,
-            max_workers=2,
-        )
-        expected = solve_many(graph, query_grid(deltas=(0, 1)),
-                              share_reduction=False)
-        assert [r.size for r in reports] == [r.size for r in expected]

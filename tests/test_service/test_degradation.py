@@ -20,7 +20,8 @@ import pytest
 
 from repro.api import FairCliqueQuery, FairCliqueSession
 from repro.graph.builders import paper_example_graph
-from repro.graph.generators import community_graph
+from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.generators import community_graph, quasi_clique_blobs
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.resilience.retry import RetryPolicy
 from repro.service import (
@@ -190,20 +191,39 @@ class TestClientRetry:
 
 
 class TestStreamStop:
-    def test_preset_stop_event_aborts_stream_solve(self):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_preset_stop_event_aborts_stream_solve(self, workers):
         # The service wires its disconnect Event straight into the solver's
-        # budget check; a pre-set event must abort at the first check.
+        # budget check; a pre-set event must abort at the first check, in
+        # the pool's workers as in the serial search.
         graph = community_graph(
             3, 40, intra_probability=0.5, inter_edges=0, seed=21
         )
         stop = threading.Event()
         stop.set()
         with FairCliqueSession(graph) as session:
-            events = list(session.stream(_query(), stop_event=stop))
+            events = list(session.stream(_query(workers=workers), stop_event=stop))
         final = events[-1]
         assert final.final
         assert final.report.aborted
         assert not final.report.optimal
+
+    def test_abandoning_a_parallel_stream_stops_its_workers(self):
+        # One 400-vertex blob: a workers=2 solve takes seconds, so a solve
+        # thread that ends right after close() was stopped, not finished.
+        graph = quasi_clique_blobs(AttributedGraph(), 1, 400, 0.40, seed=17)
+        query = _query(workers=2, options={"use_heuristic": False})
+        with FairCliqueSession(graph) as session:
+            iterator = session.stream(query)
+            next(iterator)       # the pool is searching
+            (solver,) = [thread for thread in threading.enumerate()
+                         if thread.name == "fairclique-stream"]
+            closed = time.monotonic()
+            iterator.close()
+            solver.join(10)
+            stopped_after = time.monotonic() - closed
+        assert not solver.is_alive()
+        assert stopped_after < 1.0
 
     def test_abandoning_stream_sets_stop_event(self):
         graph = community_graph(
