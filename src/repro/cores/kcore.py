@@ -5,7 +5,9 @@ The plain (uncolored) k-core machinery serves three purposes in the paper:
 * the degeneracy-based upper bound ``ub_△`` (Lemma 10) and the h-index-based
   upper bound ``ub_h`` (Lemma 11);
 * the ``(|R*| - 1)``-core pruning step inside the heuristic framework
-  ``HeurRFC`` (Algorithm 6, lines 3 and 8);
+  ``HeurRFC`` (Algorithm 6, lines 3 and 8), which reads the same core
+  numbers off the compiled kernel and keeps this module as its test
+  reference;
 * the degeneracy ordering reused by coloring and baseline clique algorithms.
 """
 

@@ -18,10 +18,8 @@ colorful core number.  It keeps the linear-time character of the framework
 
 from __future__ import annotations
 
-from repro.coloring.greedy import greedy_coloring
-from repro.cores.colorful import colorful_core_numbers
 from repro.graph.attributed_graph import AttributedGraph
-from repro.heuristic.greedy_core import greedy_fair_clique
+from repro.heuristic.greedy_core import fair_clique_on_graph
 
 
 def colorful_core_greedy_fair_clique(
@@ -31,12 +29,6 @@ def colorful_core_greedy_fair_clique(
     restarts: int = 1,
 ) -> frozenset:
     """Return the fair clique found by the colorful-core-number greedy (possibly empty)."""
-    if graph.num_vertices == 0:
-        return frozenset()
-    coloring = greedy_coloring(graph)
-    cores = colorful_core_numbers(graph, coloring)
-    return greedy_fair_clique(
-        graph, k, delta,
-        score=lambda vertex: cores.get(vertex, 0),
-        restarts=restarts,
+    return fair_clique_on_graph(
+        graph, k, delta, lambda kernel: kernel.colorful_cores()[1], restarts
     )

@@ -5,14 +5,15 @@ Identical growth loop to ``DegHeur`` but vertices are scored by
 distinct neighbour colors — which rewards vertices whose neighbourhood can
 supply *both* attributes with many mutually non-adjacent-free (distinctly
 colored) vertices, a better proxy for fair-clique potential than raw degree.
+The scores come from :func:`repro.kernel.cores.min_colorful_degrees_mask`
+under the kernel's cached greedy coloring.
 """
 
 from __future__ import annotations
 
-from repro.coloring.greedy import greedy_coloring
-from repro.cores.colorful import min_colorful_degrees
 from repro.graph.attributed_graph import AttributedGraph
-from repro.heuristic.greedy_core import greedy_fair_clique
+from repro.heuristic.greedy_core import fair_clique_on_graph
+from repro.kernel.cores import min_colorful_degrees_mask
 
 
 def colorful_degree_greedy_fair_clique(
@@ -22,12 +23,8 @@ def colorful_degree_greedy_fair_clique(
     restarts: int = 1,
 ) -> frozenset:
     """Return the fair clique found by the colorful-degree greedy (possibly empty)."""
-    if graph.num_vertices == 0:
-        return frozenset()
-    coloring = greedy_coloring(graph)
-    minima = min_colorful_degrees(graph, coloring)
-    return greedy_fair_clique(
+    return fair_clique_on_graph(
         graph, k, delta,
-        score=lambda vertex: minima.get(vertex, 0),
-        restarts=restarts,
+        lambda kernel: min_colorful_degrees_mask(kernel, kernel.colorful_cores()[0]),
+        restarts,
     )

@@ -11,7 +11,7 @@ set only shrinks.
 from __future__ import annotations
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.heuristic.greedy_core import greedy_fair_clique
+from repro.heuristic.greedy_core import fair_clique_on_graph
 
 
 def degree_greedy_fair_clique(
@@ -29,4 +29,6 @@ def degree_greedy_fair_clique(
     >>> len(clique) >= 6
     True
     """
-    return greedy_fair_clique(graph, k, delta, score=graph.degree, restarts=restarts)
+    return fair_clique_on_graph(
+        graph, k, delta, lambda kernel: kernel.degrees, restarts
+    )

@@ -12,17 +12,150 @@ The greedy expansion may finish with an unbalanced clique; because every
 subset of a clique is a clique, the result is post-trimmed to the best fair
 subset (majority attribute reduced to ``minority + delta``), which converts a
 near-miss into a valid relative fair clique whenever the counts allow it.
+
+Everything runs on the compiled kernel: a *scope* is a vertex bitset (the
+part of the graph the greedy may use), scores are arrays indexed by kernel
+index, and cliques are bitsets.  :class:`~repro.heuristic.heur_rfc.HeurRFC`
+calls the mask functions directly; the graph-level functions are thin
+wrappers that run them on the whole graph.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.graph.attributed_graph import AttributedGraph, Vertex
 from repro.graph.validation import validate_binary_attributes, validate_parameters
-from repro.search.verification import best_fair_subset
+from repro.kernel.bitops import bits_list, iter_bits, mask_from_indices
+from repro.kernel.compile import GraphKernel
+from repro.search.verification import best_fair_subset_size
 
 ScoreFunction = Callable[[Vertex], float]
+
+
+def grow_clique_mask(
+    kernel: GraphKernel,
+    start: int,
+    scope: int,
+    scores: Sequence[float],
+    delta: int,
+) -> int:
+    """Grow a clique from kernel index ``start`` inside ``scope``.
+
+    At every step the loop prefers the attribute currently in the minority
+    inside the clique, and among candidates of that attribute picks the one
+    with the highest ``(scores[i], str(id))``.  If no candidate of the
+    preferred attribute exists it falls back to the other attribute.  Growth
+    stops when the candidate set empties.  The candidate set is a bitset:
+    attribute filtering is one AND, and shrinking to the common
+    neighbourhood is ``candidates &= adj[winner]``.
+
+    Returns the grown clique's bitset *without* the fairness trim.
+    """
+    adj = kernel.adj_bits
+    attr_codes = kernel.attr_codes
+    attr_a_mask = kernel.attr_masks[0]
+    tie_keys = kernel.tie_keys
+
+    clique_mask = 1 << start
+    candidates = adj[start] & scope
+    count_a = 1 if attr_codes[start] == 0 else 0
+    count_b = 1 - count_a
+
+    def key(index: int) -> tuple:
+        return scores[index], tie_keys[index]
+
+    while candidates:
+        minority_is_a = count_a <= count_b
+        preferred = candidates & (attr_a_mask if minority_is_a else ~attr_a_mask)
+        # Refuse to deepen an imbalance that could never be repaired: adding a
+        # majority vertex is pointless once the other side has no candidates
+        # left to catch up with.
+        if not preferred:
+            minority_count = count_a if minority_is_a else count_b
+            majority_count = count_b if minority_is_a else count_a
+            if majority_count >= minority_count + delta:
+                break
+        winner = max(iter_bits(preferred or candidates), key=key)
+        clique_mask |= 1 << winner
+        if attr_codes[winner] == 0:
+            count_a += 1
+        else:
+            count_b += 1
+        candidates &= adj[winner]
+    return clique_mask
+
+
+def fair_trim_mask(kernel: GraphKernel, clique: int, k: int, delta: int) -> int:
+    """The best fair subset of the clique bitset ``clique`` (0 when none).
+
+    Keeps every vertex of the minority attribute and the ``minority + delta``
+    majority vertices with the smallest ``str(id)``, exactly as
+    :func:`repro.search.verification.best_fair_subset` does.
+    """
+    members_a = clique & kernel.attr_masks[0]
+    members_b = clique & ~members_a
+    count_a = members_a.bit_count()
+    count_b = members_b.bit_count()
+    if not best_fair_subset_size(count_a, count_b, k, delta):
+        return 0
+    kept = [
+        *sorted(bits_list(members_a), key=kernel.tie_keys.__getitem__)[:count_b + delta],
+        *sorted(bits_list(members_b), key=kernel.tie_keys.__getitem__)[:count_a + delta],
+    ]
+    return mask_from_indices(kept)
+
+
+def greedy_fair_mask(
+    kernel: GraphKernel,
+    scope: int,
+    k: int,
+    delta: int,
+    scores: Sequence[float],
+    restarts: int = 1,
+) -> int:
+    """Grow from the ``restarts`` best-scoring vertices of ``scope``; keep the best.
+
+    The paper starts from the single best-scoring vertex; ``restarts > 1`` is
+    a cheap robustness extension (still linear time per restart).  Returns
+    the largest fair-trimmed clique bitset over all restarts (ties keep the
+    earlier start).
+    """
+    tie_keys = kernel.tie_keys
+    starts = sorted(
+        bits_list(scope), key=lambda index: (-scores[index], tie_keys[index])
+    )[:max(1, restarts)]
+    best = 0
+    for start in starts:
+        fair = fair_trim_mask(
+            kernel, grow_clique_mask(kernel, start, scope, scores, delta), k, delta
+        )
+        if fair.bit_count() > best.bit_count():
+            best = fair
+    return best
+
+
+def fair_clique_on_graph(
+    graph: AttributedGraph,
+    k: int,
+    delta: int,
+    scores_of: Callable[[GraphKernel], Sequence[float]],
+    restarts: int = 1,
+) -> frozenset:
+    """Run :func:`greedy_fair_mask` on the whole of ``graph``'s kernel.
+
+    ``scores_of(kernel)`` returns the score array; the strategy wrappers
+    differ only in it.
+    """
+    validate_parameters(k, delta)
+    if not graph.num_vertices:
+        return frozenset()
+    validate_binary_attributes(graph)
+    kernel = graph.compile()
+    mask = greedy_fair_mask(
+        kernel, kernel.full_mask, k, delta, scores_of(kernel), restarts
+    )
+    return kernel.frozenset_of_mask(mask)
 
 
 def greedy_grow_clique(
@@ -34,94 +167,16 @@ def greedy_grow_clique(
 ) -> frozenset:
     """Grow a clique from ``start`` with attribute-alternating greedy selection.
 
-    At every step the algorithm prefers the attribute currently in the
-    minority inside the clique (ties go to the attribute opposite to the last
-    added vertex, mirroring the paper's alternation), and among candidates of
-    that attribute picks the one with the highest ``score``.  If no candidate
-    of the preferred attribute exists it falls back to the other attribute.
-    Growth stops when the candidate set empties.
-
-    The loop runs on the compiled bitset kernel: the candidate set is an int
-    mask, attribute filtering is one AND, and shrinking to the common
-    neighbourhood is ``candidates &= adj[winner]``.  Vertex selection is
-    identical to the reference set-based loop (same ``(score, str(id))``
-    maximisation), so the grown clique is the same.
-
-    Returns the grown clique *without* the fairness trim; callers usually pass
-    the result through :func:`finalize_fair_clique`.
+    Graph-level form of :func:`grow_clique_mask`; returns the grown clique
+    *without* the fairness trim (see :func:`finalize_fair_clique`).
     """
     validate_binary_attributes(graph)
     kernel = graph.compile()
-    adj = kernel.adj_bits
-    attr_a_mask = kernel.attr_masks[0]
-    vertex_of = kernel.vertex_of
-    tie_keys = kernel.tie_keys
-
-    start_index = kernel.index_of[start]
-    clique_mask = 1 << start_index
-    candidates = adj[start_index]
-    count_a = 1 if kernel.attr_codes[start_index] == 0 else 0
-    count_b = 1 - count_a
-
-    while candidates:
-        minority_is_a = count_a <= count_b
-        preferred = candidates & (attr_a_mask if minority_is_a else ~attr_a_mask)
-        pool = preferred or candidates
-        # Refuse to deepen an imbalance that could never be repaired: adding a
-        # majority vertex is pointless once the other side has no candidates
-        # left to catch up with.
-        if not preferred:
-            minority_count = count_a if minority_is_a else count_b
-            majority_count = count_b if minority_is_a else count_a
-            if majority_count >= minority_count + delta:
-                break
-        winner = -1
-        winner_key: tuple | None = None
-        remaining = pool
-        while remaining:
-            low = remaining & -remaining
-            index = low.bit_length() - 1
-            key = (score(vertex_of[index]), tie_keys[index])
-            if winner_key is None or key > winner_key:
-                winner_key = key
-                winner = index
-            remaining ^= low
-        clique_mask |= 1 << winner
-        if kernel.attr_codes[winner] == 0:
-            count_a += 1
-        else:
-            count_b += 1
-        candidates &= adj[winner]
-    return kernel.frozenset_of_mask(clique_mask)
-
-
-def greedy_grow_clique_reference(
-    graph: AttributedGraph,
-    start: Vertex,
-    k: int,
-    delta: int,
-    score: ScoreFunction,
-) -> frozenset:
-    """The original set-based growth loop, kept as a parity oracle for the kernel path."""
-    attribute_a, attribute_b = validate_binary_attributes(graph)
-    clique: set[Vertex] = {start}
-    candidates: set[Vertex] = set(graph.neighbors(start))
-    counts = {attribute_a: 0, attribute_b: 0}
-    counts[graph.attribute(start)] += 1
-
-    while candidates:
-        minority = attribute_a if counts[attribute_a] <= counts[attribute_b] else attribute_b
-        preferred = [v for v in candidates if graph.attribute(v) == minority]
-        pool = preferred or list(candidates)
-        if not preferred:
-            other = attribute_b if minority == attribute_a else attribute_a
-            if counts[other] >= counts[minority] + delta:
-                break
-        best_vertex = max(pool, key=lambda v: (score(v), str(v)))
-        clique.add(best_vertex)
-        counts[graph.attribute(best_vertex)] += 1
-        candidates = candidates & graph.neighbors(best_vertex)
-    return frozenset(clique)
+    scores = [score(vertex) for vertex in kernel.vertex_of]
+    mask = grow_clique_mask(
+        kernel, kernel.index_of[start], kernel.full_mask, scores, delta
+    )
+    return kernel.frozenset_of_mask(mask)
 
 
 def finalize_fair_clique(
@@ -132,7 +187,11 @@ def finalize_fair_clique(
 ) -> frozenset:
     """Trim a clique to its best fair subset (empty when no fair subset exists)."""
     validate_parameters(k, delta)
-    return best_fair_subset(graph, clique, k, delta)
+    validate_binary_attributes(graph)
+    kernel = graph.compile()
+    return kernel.frozenset_of_mask(
+        fair_trim_mask(kernel, kernel.mask_of(clique), k, delta)
+    )
 
 
 def greedy_fair_clique(
@@ -144,18 +203,10 @@ def greedy_fair_clique(
 ) -> frozenset:
     """Run the greedy growth from the ``restarts`` highest-scoring start vertices.
 
-    The paper starts from the single best-scoring vertex; ``restarts > 1`` is a
-    cheap robustness extension (still linear time per restart) exposed for the
-    ablation benchmarks.  Returns the largest fair clique over all restarts.
+    Graph-level form of :func:`greedy_fair_mask` on the whole graph.
     """
-    validate_parameters(k, delta)
-    if graph.num_vertices == 0:
-        return frozenset()
-    starts = sorted(graph.vertices(), key=lambda v: (-score(v), str(v)))[:max(1, restarts)]
-    best: frozenset = frozenset()
-    for start in starts:
-        grown = greedy_grow_clique(graph, start, k, delta, score)
-        fair = finalize_fair_clique(graph, grown, k, delta)
-        if len(fair) > len(best):
-            best = fair
-    return best
+    return fair_clique_on_graph(
+        graph, k, delta,
+        lambda kernel: [score(vertex) for vertex in kernel.vertex_of],
+        restarts,
+    )

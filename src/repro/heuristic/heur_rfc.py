@@ -17,38 +17,59 @@ intermediate clique to prune the graph between the runs:
 The returned object carries the clique, that color upper bound, and the final
 coloring — exactly the triple Algorithm 6 outputs — so the exact search can
 reuse all three.
+
+Every step runs on the input graph's compiled kernel, with the working graph
+held as a vertex bitset (the *scope*) instead of an induced copy: the
+``(|R*| - 1)``-core is read off the kernel's cached core numbers, and each
+scope is colored once.  While the scope is the whole kernel, the coloring and
+the colorful core numbers come from the kernel's cached
+:meth:`~repro.kernel.compile.GraphKernel.colorful_cores`, which CalColorOD
+reads too, so a warm session computes neither again.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.coloring.greedy import Coloring, greedy_coloring, num_colors
-from repro.cores.kcore import k_core
+from repro.coloring.greedy import Coloring
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.validation import validate_parameters
-from repro.heuristic.colorful_core_greedy import colorful_core_greedy_fair_clique
-from repro.heuristic.colorful_degree_greedy import colorful_degree_greedy_fair_clique
-from repro.heuristic.degree_greedy import degree_greedy_fair_clique
+from repro.graph.validation import validate_binary_attributes, validate_parameters
+from repro.heuristic.greedy_core import greedy_fair_mask
+from repro.kernel.bitops import bits_list, mask_from_indices_wide
+from repro.kernel.coloring import greedy_color_array
+from repro.kernel.compile import GraphKernel
+from repro.kernel.cores import colorful_core_numbers_mask, min_colorful_degrees_mask
 from repro.search.result import SearchResult
 from repro.search.statistics import SearchStats
 
 
 @dataclass
 class HeuristicOutcome:
-    """The triple returned by Algorithm 6: clique, color upper bound, coloring."""
+    """The triple returned by Algorithm 6: clique, color upper bound, coloring.
+
+    ``kernel`` and ``scope`` locate the graph the last strategy ran on;
+    ``pruned_graph`` materialises it the first time it is read.
+    """
 
     clique: frozenset
     upper_bound: int
     coloring: Coloring
-    pruned_graph: AttributedGraph
     seconds: float
+    kernel: GraphKernel = field(repr=False, compare=False)
+    scope: int = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         """Size of the heuristic fair clique."""
         return len(self.clique)
+
+    @cached_property
+    def pruned_graph(self) -> AttributedGraph:
+        """The induced subgraph of the final scope (the input's last core prune)."""
+        return self.kernel.materialize(self.scope)
 
 
 class HeurRFC:
@@ -66,27 +87,40 @@ class HeurRFC:
         """Execute Algorithm 6 (plus the colorful-core strategy) and return the triple."""
         validate_parameters(k, delta)
         started = time.monotonic()
-        working = graph
-        best = degree_greedy_fair_clique(working, k, delta, self.restarts)
-        if best:
-            working = self._core_prune(graph, len(best))
-        for strategy in (colorful_degree_greedy_fair_clique, colorful_core_greedy_fair_clique):
-            challenger = (
-                strategy(working, k, delta, self.restarts)
-                if working.num_vertices
-                else frozenset()
+        kernel = graph.compile()
+        if not kernel.n:
+            return HeuristicOutcome(
+                frozenset(), 0, {}, time.monotonic() - started, kernel, 0
             )
-            if len(challenger) > len(best):
+        validate_binary_attributes(graph)
+        best = greedy_fair_mask(
+            kernel, kernel.full_mask, k, delta, kernel.degrees, self.restarts
+        )
+        scope = _core_scope(kernel, best)
+        colorings: dict[int, Sequence[int]] = {}   # each scope is colored once
+
+        def colors_of(mask: int) -> Sequence[int]:
+            if mask not in colorings:
+                colorings[mask] = _scope_colors(kernel, mask)
+            return colorings[mask]
+
+        for scores_of in (min_colorful_degrees_mask, _colorful_core_scores):
+            challenger = greedy_fair_mask(
+                kernel, scope, k, delta,
+                scores_of(kernel, colors_of(scope), scope), self.restarts,
+            )
+            if challenger.bit_count() > best.bit_count():
                 best = challenger
-                working = self._core_prune(graph, len(best))
-        coloring = greedy_coloring(working) if working.num_vertices else {}
-        upper_bound = num_colors(coloring)
+                scope = _core_scope(kernel, best)
+        colors = colors_of(scope)
+        vertex_of = kernel.vertex_of
         return HeuristicOutcome(
-            clique=best,
-            upper_bound=upper_bound,
-            coloring=coloring,
-            pruned_graph=working,
+            clique=kernel.frozenset_of_mask(best),
+            upper_bound=max(colors, default=-1) + 1,
+            coloring={vertex_of[i]: colors[i] for i in bits_list(scope)},
             seconds=time.monotonic() - started,
+            kernel=kernel,
+            scope=scope,
         )
 
     def solve(self, graph: AttributedGraph, k: int, delta: int) -> SearchResult:
@@ -103,12 +137,39 @@ class HeurRFC:
             optimal=False,
         )
 
-    def _core_prune(self, graph: AttributedGraph, clique_size: int) -> AttributedGraph:
-        """Restrict to the ``(clique_size - 1)``-core, where any larger fair clique must live."""
-        if clique_size <= 1:
-            return graph
-        survivors = k_core(graph, clique_size - 1)
-        return graph.subgraph(survivors)
+
+def _core_scope(kernel: GraphKernel, clique: int) -> int:
+    """The ``(|clique| - 1)``-core of the whole kernel, where any larger fair clique must live."""
+    threshold = clique.bit_count() - 1
+    return mask_from_indices_wide(
+        (index for index, core in enumerate(kernel.core_numbers()) if core >= threshold),
+        kernel.n,
+    )
+
+
+def _scope_colors(kernel: GraphKernel, scope: int) -> Sequence[int]:
+    """Greedy coloring of the induced subgraph on ``scope`` (``-1`` outside it).
+
+    The whole kernel's is cached; a smaller scope is colored in the order of
+    its own degrees, as ``greedy_coloring(graph.subgraph(scope))`` does.
+    """
+    if scope == kernel.full_mask:
+        return kernel.colorful_cores()[0]
+    adj = kernel.adj_bits
+    degrees = [0] * kernel.n
+    for index in bits_list(scope):
+        degrees[index] = (adj[index] & scope).bit_count()
+    return greedy_color_array(kernel, scope, degrees)
+
+
+def _colorful_core_scores(
+    kernel: GraphKernel, colors: Sequence[int], scope: int
+) -> Sequence[int]:
+    """The colorful-core greedy's scores: colorful core numbers of the scope."""
+    if scope == kernel.full_mask:
+        return kernel.colorful_cores()[1]
+    cores = colorful_core_numbers_mask(kernel, colors, scope)
+    return [cores.get(index, 0) for index in range(kernel.n)]
 
 
 def heuristic_fair_clique(

@@ -7,15 +7,16 @@ and per-attribute bitmasks for fairness accounting.  A Python ``int`` is the
 only storage: its ``&``, ``|`` and ``bit_count`` run at C speed for any
 width, and every mask a consumer sees is such an int.  Every hot path of the
 reproduction — the MaxRFC branch-and-bound, the support/core reductions, the
-``ubAD`` bounds, the heuristic growth loop, and the Bron–Kerbosch baseline —
+``ubAD`` bounds, the HeurRFC heuristic, and the Bron–Kerbosch baseline —
 runs on this snapshot; the mutable ``AttributedGraph`` remains the
 user-facing builder and crosses the freeze boundary via ``graph.compile()``.
 
 The kernel is tested against independent set-based references: the parity
 suite under ``tests/test_kernel`` checks kernel cores, reduction survivors,
 bound values and maximal-clique sets against :mod:`repro.cores`,
-:mod:`repro.bounds` and the reference clique enumerator, and the oracle fuzz
-under ``tests/test_search`` checks exact solves against brute force.
+:mod:`repro.bounds` and the reference clique enumerator, ``tests/test_heuristic``
+checks HeurRFC against a dict reference, and the oracle fuzz under
+``tests/test_search`` checks exact solves against brute force.
 """
 
 from repro.kernel.bitops import (

@@ -11,6 +11,8 @@ kernel index and neighbour scans ride the CSR arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
 
@@ -18,6 +20,7 @@ from repro.kernel.compile import GraphKernel
 def greedy_color_array(
     kernel: GraphKernel,
     scope_mask: int | None = None,
+    degrees: Sequence[int] | None = None,
 ) -> list[int]:
     """Color the vertices of ``scope_mask`` (default: all) greedily.
 
@@ -27,9 +30,14 @@ def greedy_color_array(
     processing order (non-increasing full-graph degree, ties by ``str(id)``),
     same smallest-free-color rule — expressed as "first color class bitset
     with no neighbour in it", which costs one AND per probed class.
+
+    ``degrees`` (indexed by kernel index) replaces the full-graph degrees in
+    the processing order: passing the degrees inside the scope reproduces
+    ``greedy_coloring(graph.subgraph(scope))``.
     """
     members = list(range(kernel.n)) if scope_mask is None else bits_list(scope_mask)
-    degrees = kernel.degrees
+    if degrees is None:
+        degrees = kernel.degrees
     tie_keys = kernel.tie_keys
     members.sort(key=lambda i: (-degrees[i], tie_keys[i]))
     colors = [-1] * kernel.n
@@ -46,19 +54,6 @@ def greedy_color_array(
             colors[index] = len(class_masks)
             class_masks.append(1 << index)
     return colors
-
-
-def color_count(colors: list[int], scope_mask: int | None = None) -> int:
-    """Number of distinct colors among in-scope vertices."""
-    if scope_mask is None:
-        distinct = {color for color in colors if color >= 0}
-        return len(distinct)
-    used = 0
-    for index in bits_list(scope_mask):
-        color = colors[index]
-        if color >= 0:
-            used |= 1 << color
-    return used.bit_count()
 
 
 def coloring_to_array(kernel: GraphKernel, coloring: dict) -> list[int]:

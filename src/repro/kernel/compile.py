@@ -62,6 +62,7 @@ class GraphKernel:
         "_degeneracy_order",
         "_core_numbers",
         "_component_masks",
+        "_colorful_cores",
     )
 
     def __init__(
@@ -95,6 +96,9 @@ class GraphKernel:
         self._degeneracy_order: Optional[tuple[int, ...]] = None
         self._core_numbers: Optional[tuple[int, ...]] = None
         self._component_masks: Optional[tuple[int, ...]] = None
+        self._colorful_cores: Optional[
+            tuple[tuple[int, ...], tuple[int, ...]]
+        ] = None
 
     # ------------------------------------------------------------------ #
     # Pickling: explicit and slot-based, so every supported Python routes
@@ -208,6 +212,33 @@ class GraphKernel:
                             current = degree - 1
         self._degeneracy_order = tuple(order)
         self._core_numbers = tuple(cores)
+
+    # ------------------------------------------------------------------ #
+    # Greedy coloring and colorful core numbers (computed lazily, cached)
+    # ------------------------------------------------------------------ #
+    def colorful_cores(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(colors, colorful core numbers)`` of the whole snapshot, by index.
+
+        The package-default greedy coloring and the colorful core numbers
+        (Definition 8) under it.  Both are exact for any union of connected
+        components: a vertex's color depends only on its earlier-colored
+        neighbours, which share its component and are processed in the same
+        ``(-degree, str(id))`` order by a pass scoped to that component, and
+        colorful core numbers are canonical per component.  So CalColorOD
+        and the heuristic read one decomposition instead of recomputing it
+        per query.
+        """
+        if self._colorful_cores is None:
+            from repro.kernel.coloring import greedy_color_array
+            from repro.kernel.cores import colorful_core_numbers_mask
+
+            colors = greedy_color_array(self)
+            cores = colorful_core_numbers_mask(self, colors)
+            self._colorful_cores = (
+                tuple(colors),
+                tuple(cores[index] for index in range(self.n)),
+            )
+        return self._colorful_cores
 
     # ------------------------------------------------------------------ #
     # Connected components (computed lazily, cached)

@@ -18,7 +18,10 @@ balanced-split degree encodes only-a/only-b/mixed arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.cores.enhanced import balanced_split_value
+from repro.kernel.bitops import bits_list, mask_from_indices_wide
 from repro.kernel.compile import GraphKernel
 
 
@@ -39,7 +42,7 @@ def colorful_k_core_mask(
     attr_codes = kernel.attr_codes
     num_values = max(1, len(kernel.attribute_values))
     indptr, indices = kernel.indptr, kernel.indices
-    members = _bits(scope)
+    members = bits_list(scope)
     # O(1) membership probes: single-bit tests on a wide int cost O(words).
     alive = bytearray(kernel.n)
     for vertex in members:
@@ -97,7 +100,7 @@ def enhanced_colorful_k_core_mask(
     scope = kernel.full_mask if scope_mask is None else scope_mask
     attr_codes = kernel.attr_codes
     indptr, indices = kernel.indptr, kernel.indices
-    members = _bits(scope)
+    members = bits_list(scope)
     alive = bytearray(kernel.n)
     for vertex in members:
         alive[vertex] = 1
@@ -138,6 +141,39 @@ def enhanced_colorful_k_core_mask(
     return remaining
 
 
+def min_colorful_degrees_mask(
+    kernel: GraphKernel,
+    colors: Sequence[int],
+    scope_mask: int | None = None,
+) -> list[int]:
+    """``D_min`` per index inside ``scope_mask`` (0 outside; Definition 2).
+
+    The minimum, over the attribute values, of the number of distinct colors
+    among a vertex's in-scope neighbours of that value: one bitset per
+    (color class, attribute value) of the scope, and one AND of the
+    vertex's adjacency row with each.
+    """
+    scope = kernel.full_mask if scope_mask is None else scope_mask
+    members = bits_list(scope)
+    by_color: dict[int, list[int]] = {}
+    for vertex in members:
+        by_color.setdefault(colors[vertex], []).append(vertex)
+    classes = [mask_from_indices_wide(group, kernel.n) for group in by_color.values()]
+    per_value = [
+        [class_mask & value_mask for class_mask in classes if class_mask & value_mask]
+        for value_mask in kernel.attr_masks
+    ]
+    adj = kernel.adj_bits
+    degrees = [0] * kernel.n
+    for vertex in members:
+        row = adj[vertex]
+        degrees[vertex] = min(
+            len([mask for mask in value_classes if row & mask])
+            for value_classes in per_value
+        )
+    return degrees
+
+
 def colorful_core_numbers_mask(
     kernel: GraphKernel,
     colors: list[int],
@@ -153,7 +189,7 @@ def colorful_core_numbers_mask(
     attr_codes = kernel.attr_codes
     num_values = max(1, len(kernel.attribute_values))
     indptr, indices = kernel.indptr, kernel.indices
-    members = _bits(scope)
+    members = bits_list(scope)
     alive = bytearray(kernel.n)
     for vertex in members:
         alive[vertex] = 1
@@ -212,31 +248,24 @@ def colorful_core_numbers_mask(
 
 
 def colorful_core_order(kernel: GraphKernel, scope_mask: int) -> list:
-    """CalColorOD on the kernel: rank-ordered original ids for one component.
+    """CalColorOD on the kernel: rank-ordered original ids of ``scope_mask``.
 
-    Result-identical to ordering by
-    :func:`repro.search.ordering.colorful_core_ordering` — same scoped greedy
-    coloring, same (canonical) colorful core numbers, same
+    ``scope_mask`` must be a union of connected components (its caller,
+    :func:`repro.parallel.sharding.component_view`, passes one component):
+    the order then reads the kernel's cached
+    :meth:`~repro.kernel.compile.GraphKernel.colorful_cores`, which equal a
+    coloring and colorful core peel scoped to the mask.  Result-identical to
+    ordering by :func:`repro.search.ordering.colorful_core_ordering` — same
+    greedy coloring, same (canonical) colorful core numbers, same
     ``(core, degree, str(id))`` sort key.
     """
-    from repro.kernel.coloring import greedy_color_array
-
-    colors = greedy_color_array(kernel, scope_mask)
-    cores = colorful_core_numbers_mask(kernel, colors, scope_mask)
+    _, cores = kernel.colorful_cores()
     degrees = kernel.degrees
     tie_keys = kernel.tie_keys
     ordered = sorted(
-        _bits(scope_mask),
-        key=lambda i: (cores.get(i, 0), degrees[i], tie_keys[i]),
+        bits_list(scope_mask),
+        key=lambda i: (cores[i], degrees[i], tie_keys[i]),
     )
     vertex_of = kernel.vertex_of
     return [vertex_of[index] for index in ordered]
 
-
-def _bits(mask: int) -> list[int]:
-    positions = []
-    while mask:
-        low = mask & -mask
-        positions.append(low.bit_length() - 1)
-        mask ^= low
-    return positions

@@ -306,7 +306,7 @@ class RelativeFairness(FairnessModel):
     def heuristic_seed(self, graph: "AttributedGraph") -> frozenset:
         from repro.heuristic.heur_rfc import HeurRFC
 
-        return HeurRFC().solve(graph, self.k, self.delta).clique
+        return HeurRFC().run(graph, self.k, self.delta).clique
 
     def verify(self, graph: "AttributedGraph", vertices: Iterable["Vertex"]) -> bool:
         from repro.search.verification import is_relative_fair_clique

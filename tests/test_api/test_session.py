@@ -151,6 +151,40 @@ class TestSessionBasics:
                 session.solve_many([_query("relative"), bad])
 
 
+@pytest.fixture
+def count_compiles(monkeypatch):
+    """Record every kernel compile of this process; returns the record."""
+    from repro.kernel import compile as kernel_compile
+
+    compiled: list = []
+    real_compile_kernel = kernel_compile.compile_kernel
+
+    def counting_compile_kernel(target):
+        compiled.append(target)
+        return real_compile_kernel(target)
+
+    monkeypatch.setattr(kernel_compile, "compile_kernel", counting_compile_kernel)
+    return compiled
+
+
+class TestKernelReuse:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_solves_compile_no_kernel(self, count_compiles, workers):
+        """After the first solve the session holds the reduced graph's kernel:
+        the seed and the search of every later query read it."""
+        graph = quasi_clique_blobs(AttributedGraph(), 3, 40, 0.5, seed=3)
+        with FairCliqueSession(graph) as session:
+            session.solve(model="relative", k=2, delta=1, workers=workers)
+            assert count_compiles
+            count_compiles.clear()
+            for delta in (0, 2, 1):
+                report = session.solve(model="relative", k=2, delta=delta, workers=workers)
+                assert report.metadata["reduction_cache_hit"] is True
+                assert report.stats.extra["heuristic_size"] > 0
+            session.solve(model="weak", k=2, workers=workers)
+            assert count_compiles == []
+
+
 # --------------------------------------------------------------------------- #
 # The task axis on the query object
 # --------------------------------------------------------------------------- #

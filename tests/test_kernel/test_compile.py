@@ -186,6 +186,7 @@ class TestCompile:
         kernel = compile_kernel(graph)
         kernel.degeneracy_order()
         kernel.component_masks()
+        kernel.colorful_cores()
         clone = pickle.loads(pickle.dumps(kernel))
         assert type(clone) is type(kernel)
         for slot in type(kernel).__slots__:
@@ -195,8 +196,10 @@ class TestCompile:
         # A cold kernel ships with its caches empty and fills them the same.
         cold = pickle.loads(pickle.dumps(compile_kernel(graph)))
         assert cold._component_masks is None
+        assert cold._colorful_cores is None
         assert cold.component_masks() == kernel.component_masks()
         assert cold.core_numbers() == kernel.core_numbers()
+        assert cold.colorful_cores() == kernel.colorful_cores()
 
     @pytest.mark.parametrize("graph_index", range(8))
     def test_insertion_order_does_not_change_the_kernel(
@@ -427,6 +430,80 @@ class TestWideUniverse:
         # Of the 6 + 3 planted, relative (gap 1) keeps 4 + 3, strong 3 + 3.
         assert report.size == {"relative": 7, "strong": 6}.get(model, 9)
         assert all(str(v).startswith("z") for v in report.clique)
+
+
+def _cache_graphs():
+    return [*random_graphs(), _wide_graph()]
+
+
+class TestColorfulCoresCache:
+    """``GraphKernel.colorful_cores()``: one whole-kernel coloring and colorful
+    core decomposition that equals the per-component computation, read by
+    CalColorOD and HeurRFC."""
+
+    @pytest.mark.parametrize("graph_index", range(9))
+    def test_equals_a_pass_scoped_to_each_component(self, graph_index):
+        from repro.kernel.coloring import greedy_color_array
+        from repro.kernel.cores import colorful_core_numbers_mask
+
+        kernel = compile_kernel(_cache_graphs()[graph_index])
+        colors, cores = kernel.colorful_cores()
+        assert kernel.colorful_cores() is kernel.colorful_cores()
+        assert len(colors) == len(cores) == kernel.n
+        for mask in kernel.component_masks():
+            scoped = greedy_color_array(kernel, mask)
+            scoped_cores = colorful_core_numbers_mask(kernel, scoped, mask)
+            for index in bits_list(mask):
+                assert colors[index] == scoped[index]
+                assert cores[index] == scoped_cores[index]
+
+    @pytest.mark.parametrize("graph_index", range(9))
+    def test_order_matches_the_dict_ordering(self, graph_index):
+        from repro.kernel.cores import colorful_core_order
+        from repro.search.ordering import colorful_core_ordering
+
+        graph = _cache_graphs()[graph_index]
+        kernel = compile_kernel(graph)
+        for mask in kernel.component_masks():
+            members = kernel.vertices_of_mask(mask)
+            rank = colorful_core_ordering(graph, members)
+            assert colorful_core_order(kernel, mask) == sorted(members, key=rank.get)
+
+    def test_a_patched_kernel_starts_with_the_cache_empty(self):
+        graph = community_graph(3, 8, intra_probability=0.8, inter_edges=2, seed=11)
+        old = graph.compile()
+        old.colorful_cores()
+        graph.add_edge(0, 23)
+        patched = graph.compile()
+        assert graph.kernel_stats()["patched"] == 1
+        assert patched._colorful_cores is None
+        fresh = compile_kernel(graph)
+        assert patched.colorful_cores() == fresh.colorful_cores()
+
+    @pytest.mark.parametrize("graph_index", range(7))
+    def test_prefilled_and_empty_caches_search_identically(self, graph_index):
+        """Serial and workers=2 solves report the same counters whether the
+        cache was filled before the solve or is computed during it."""
+        from repro.models import make_model
+        from repro.parallel import ParallelMaxRFC
+        from repro.search.maxrfc import MaxRFC, build_search_config
+
+        source = random_graphs()[graph_index]
+        config = build_search_config(use_reduction=False, use_heuristic=False)
+        counters = set()
+        for prefill in (False, True):
+            for solver in (MaxRFC(config), ParallelMaxRFC(config, workers=2)):
+                graph = source.copy()
+                if prefill:
+                    graph.compile().colorful_cores()
+                result = solver.solve_model(graph, make_model("relative", 2, 1, graph))
+                assert graph.compile()._colorful_cores is not None
+                stats = result.stats
+                counters.add((
+                    result.size, stats.branches_explored,
+                    stats.bound_evaluations, stats.pruned_by_bound,
+                ))
+        assert len(counters) == 1
 
 
 class TestStorage:

@@ -5,7 +5,8 @@ Exact searches are checked against the kernel-free fair-clique oracle
 ``optimal``.  The reduction stages are checked against the reference cores
 (:func:`colorful_k_core` / :func:`enhanced_colorful_k_core`) and against a
 from-definition support fixpoint; colorings, bound values, maximal-clique
-sets and the heuristic growth loop against their set-based references."""
+sets against their set-based references (the heuristic against its dict
+reference in ``tests/test_heuristic/test_heur_rfc_reference.py``)."""
 
 from __future__ import annotations
 
@@ -29,10 +30,6 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     powerlaw_cluster_graph,
     quasi_clique_blobs,
-)
-from repro.heuristic.greedy_core import (
-    greedy_grow_clique,
-    greedy_grow_clique_reference,
 )
 from repro.heuristic.heur_rfc import HeurRFC
 from repro.kernel import SubgraphView, array_to_coloring, greedy_color_array
@@ -287,14 +284,6 @@ class TestCliqueEnumerationParity:
 
 
 class TestHeuristicParity:
-    @pytest.mark.parametrize("graph_index", range(6))
-    def test_growth_loop_identical(self, graph_index):
-        graph = graph_grid()[graph_index]
-        for start in sorted(graph.vertices(), key=str)[:6]:
-            grown = greedy_grow_clique(graph, start, 2, 1, graph.degree)
-            reference = greedy_grow_clique_reference(graph, start, 2, 1, graph.degree)
-            assert grown == reference
-
     @pytest.mark.parametrize("graph_index", range(3))
     def test_heur_rfc_returns_valid_fair_cliques(self, graph_index):
         graph = graph_grid()[graph_index]
