@@ -37,11 +37,12 @@ from functools import cached_property
 from repro.coloring.greedy import Coloring
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.validation import validate_binary_attributes, validate_parameters
+from repro.heuristic.colorful_degree_greedy import colorful_degree_scores
 from repro.heuristic.greedy_core import greedy_fair_mask
 from repro.kernel.bitops import bits_list, mask_from_indices_wide
 from repro.kernel.coloring import greedy_color_array
 from repro.kernel.compile import GraphKernel
-from repro.kernel.cores import colorful_core_numbers_mask, min_colorful_degrees_mask
+from repro.kernel.cores import colorful_core_numbers_mask
 from repro.search.result import SearchResult
 from repro.search.statistics import SearchStats
 
@@ -104,7 +105,7 @@ class HeurRFC:
                 colorings[mask] = _scope_colors(kernel, mask)
             return colorings[mask]
 
-        for scores_of in (min_colorful_degrees_mask, _colorful_core_scores):
+        for scores_of in (colorful_degree_scores, _colorful_core_scores):
             challenger = greedy_fair_mask(
                 kernel, scope, k, delta,
                 scores_of(kernel, colors_of(scope), scope), self.restarts,

@@ -31,6 +31,7 @@ from repro.bounds.base import BoundContext, BoundStack, UpperBound
 from repro.cores.enhanced import balanced_split_value
 from repro.cores.kcore import h_index_of_values
 from repro.kernel.bitops import bits_list
+from repro.kernel.cores import colorful_core_numbers_mask, min_colorful_degrees_of
 from repro.kernel.view import SubgraphView
 
 #: Bound names with a native kernel evaluator (every predefined stack).
@@ -113,25 +114,9 @@ class _Evaluation:
         AND + truth test per class.
         """
         if self._min_colorful is None:
-            view = self.view
-            adj = view.adj
-            attr_a = view.attr_a
-            scope = self.scope
-            class_masks = self.class_masks()
-            minima = []
-            for p in self.positions():
-                neighbors = adj[p] & scope
-                count_a = 0
-                count_b = 0
-                for class_mask in class_masks:
-                    shared = neighbors & class_mask
-                    if shared:
-                        if shared & attr_a:
-                            count_a += 1
-                        if shared & ~attr_a:
-                            count_b += 1
-                minima.append(count_a if count_a < count_b else count_b)
-            self._min_colorful = minima
+            self._min_colorful = min_colorful_degrees_of(
+                self.view.adj, self.positions(), self.class_masks(), self.view.attr_a
+            )
         return self._min_colorful
 
     def fallback_context(self) -> BoundContext:
@@ -199,8 +184,6 @@ def _colorful_degeneracy(ev: _Evaluation) -> int:
     positions = ev.positions()
     if not positions:
         return 0
-    from repro.kernel.cores import colorful_core_numbers_mask
-
     view = ev.view
     kernel = view.kernel
     global_index = view.global_index

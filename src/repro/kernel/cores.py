@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.cores.enhanced import balanced_split_value
-from repro.kernel.bitops import bits_list, mask_from_indices_wide
+from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
 
 
@@ -141,37 +141,35 @@ def enhanced_colorful_k_core_mask(
     return remaining
 
 
-def min_colorful_degrees_mask(
-    kernel: GraphKernel,
-    colors: Sequence[int],
-    scope_mask: int | None = None,
+def min_colorful_degrees_of(
+    rows: Sequence[int],
+    members: Sequence[int],
+    class_masks: Sequence[int],
+    attr_a: int,
 ) -> list[int]:
-    """``D_min`` per index inside ``scope_mask`` (0 outside; Definition 2).
+    """``D_min(v) = min(D_a(v), D_b(v))`` per member, in order (Definition 2).
 
-    The minimum, over the attribute values, of the number of distinct colors
-    among a vertex's in-scope neighbours of that value: one bitset per
-    (color class, attribute value) of the scope, and one AND of the
-    vertex's adjacency row with each.
+    ``D_a(v)`` is the number of distinct colors among ``v``'s in-scope
+    neighbours of attribute ``a`` (every vertex outside ``attr_a`` is side
+    ``b``).  With one bitset per color class of the scope
+    (``class_masks``), split by side, it is the number of side classes that
+    ``rows[v]`` meets: one AND per (color class, side).
     """
-    scope = kernel.full_mask if scope_mask is None else scope_mask
-    members = bits_list(scope)
-    by_color: dict[int, list[int]] = {}
-    for vertex in members:
-        by_color.setdefault(colors[vertex], []).append(vertex)
-    classes = [mask_from_indices_wide(group, kernel.n) for group in by_color.values()]
-    per_value = [
-        [class_mask & value_mask for class_mask in classes if class_mask & value_mask]
-        for value_mask in kernel.attr_masks
-    ]
-    adj = kernel.adj_bits
-    degrees = [0] * kernel.n
-    for vertex in members:
-        row = adj[vertex]
-        degrees[vertex] = min(
-            len([mask for mask in value_classes if row & mask])
-            for value_classes in per_value
-        )
-    return degrees
+    side_a = [mask for mask in (c & attr_a for c in class_masks) if mask]
+    side_b = [mask for mask in (c & ~attr_a for c in class_masks) if mask]
+    minima = []
+    for v in members:
+        row = rows[v]
+        count_a = 0
+        for mask in side_a:
+            if row & mask:
+                count_a += 1
+        count_b = 0
+        for mask in side_b:
+            if row & mask:
+                count_b += 1
+        minima.append(count_a if count_a < count_b else count_b)
+    return minima
 
 
 def colorful_core_numbers_mask(

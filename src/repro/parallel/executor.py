@@ -58,7 +58,6 @@ from repro.parallel.worker import WorkerPayload
 from repro.resilience import SolveCrashedError, faults
 from repro.resilience.deadline import Deadline
 from repro.search.maxrfc import MaxRFC, MaxRFCConfig, _TimeBudgetExceeded
-from repro.search.ordering import OrderingStrategy
 from repro.search.result import SearchResult
 from repro.search.statistics import SearchStats
 
@@ -218,11 +217,6 @@ class ParallelMaxRFC(MaxRFC):
         stats.extra["parallel"] = telemetry
         if not plan.shards:
             return best
-        if self.config.ordering is OrderingStrategy.COLORFUL_CORE:
-            # Every component view reads CalColorOD from this cache: fill it
-            # once here, so forked workers inherit it (and spawned ones
-            # unpickle it) instead of each computing it again.
-            kernel.colorful_cores()
         try:
             return self._run_pool(
                 kernel, plan, model, best, stats, deadline, telemetry

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from repro.baselines.bron_kerbosch import enumerate_maximal_cliques_reference
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import complete_graph, from_edge_list, paper_example_graph
 from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.kernel import compile as kernel_compile
 from repro.search.verification import best_fair_subset
 
 
@@ -152,3 +154,29 @@ def rebuild_shuffled(graph: AttributedGraph, seed: int = 0) -> AttributedGraph:
 def shuffled_rebuild():
     """:func:`rebuild_shuffled`: compiling must not depend on insertion order."""
     return rebuild_shuffled
+
+
+class CompileRecord(list):
+    """The graphs handed to ``compile_kernel``, in call order.
+
+    Setting ``delay`` (seconds) holds every compile open that long, which
+    widens race windows in concurrency tests.
+    """
+
+    delay = 0.0
+
+
+@pytest.fixture
+def count_compiles(monkeypatch) -> CompileRecord:
+    """Record every kernel compile while the test runs; returns the record."""
+    record = CompileRecord()
+    real_compile_kernel = kernel_compile.compile_kernel
+
+    def counting_compile_kernel(target):
+        record.append(target)
+        if record.delay:
+            time.sleep(record.delay)
+        return real_compile_kernel(target)
+
+    monkeypatch.setattr(kernel_compile, "compile_kernel", counting_compile_kernel)
+    return record

@@ -151,22 +151,6 @@ class TestSessionBasics:
                 session.solve_many([_query("relative"), bad])
 
 
-@pytest.fixture
-def count_compiles(monkeypatch):
-    """Record every kernel compile of this process; returns the record."""
-    from repro.kernel import compile as kernel_compile
-
-    compiled: list = []
-    real_compile_kernel = kernel_compile.compile_kernel
-
-    def counting_compile_kernel(target):
-        compiled.append(target)
-        return real_compile_kernel(target)
-
-    monkeypatch.setattr(kernel_compile, "compile_kernel", counting_compile_kernel)
-    return compiled
-
-
 class TestKernelReuse:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_solves_compile_no_kernel(self, count_compiles, workers):

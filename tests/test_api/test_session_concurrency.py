@@ -56,29 +56,17 @@ def graph():
 
 
 class TestConcurrentFirstSolve:
-    def test_session_graph_compiled_exactly_once(self, graph, monkeypatch):
+    def test_session_graph_compiled_exactly_once(self, graph, count_compiles):
         # Solves also compile per-solve ephemeral reduced subgraphs (one
         # per thread, by design); the racy shared artifact is the *session
         # graph's* memoized kernel, so count compiles of that object only.
-        compiles: list[int] = []
-        from repro.kernel import compile as kernel_compile
-
-        real_compile_kernel = kernel_compile.compile_kernel
-
-        def counting_compile_kernel(target):
-            if target is graph:
-                compiles.append(1)
-                time.sleep(0.02)    # widen the race window
-            return real_compile_kernel(target)
-
-        monkeypatch.setattr(kernel_compile, "compile_kernel",
-                            counting_compile_kernel)
+        count_compiles.delay = 0.02     # widen the race window
 
         with FairCliqueSession(graph) as session:
             query = FairCliqueQuery(model="relative", k=2, delta=1)
             reports = _solve_concurrently(session, query)
 
-        assert len(compiles) == 1
+        assert sum(target is graph for target in count_compiles) == 1
         sizes = {report.size for report in reports}
         assert len(sizes) == 1      # every thread saw the same answer
 

@@ -11,6 +11,8 @@ the working graph.
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
 from repro.coloring.greedy import greedy_coloring, num_colors
@@ -128,14 +130,20 @@ QUERIES = [(1, 0), (2, 1), (2, 0), (3, 2), (2, 1000)]
 RESTARTS = (1, 4)
 
 
+@cache
+def reference_case(graph_index, k, delta, restarts):
+    """The reference outcome on one grid case, computed once per session."""
+    return heur_rfc_reference(GRAPHS[graph_index], k, delta, restarts)
+
+
 @pytest.mark.parametrize("graph_index", range(len(GRAPHS)))
 def test_kernel_heur_rfc_matches_the_reference(graph_index):
     graph = GRAPHS[graph_index]
     for k, delta in QUERIES:
         for restarts in RESTARTS:
             outcome = HeurRFC(restarts=restarts).run(graph, k, delta)
-            clique, upper_bound, coloring, working = heur_rfc_reference(
-                graph, k, delta, restarts
+            clique, upper_bound, coloring, working = reference_case(
+                graph_index, k, delta, restarts
             )
             case = (graph_index, k, delta, restarts)
             assert outcome.clique == clique, case
@@ -167,50 +175,38 @@ def test_a_kernel_wider_than_the_mask_cutover_matches_the_reference():
 
 
 def test_the_grid_covers_a_shrinking_core_prune():
-    shrunk = 0
-    for graph in GRAPHS:
-        for k, delta in QUERIES:
-            for restarts in RESTARTS:
-                outcome = HeurRFC(restarts=restarts).run(graph, k, delta)
-                shrunk += len(outcome.coloring) < graph.num_vertices
-    assert shrunk > 0
-
-
-def growth_graphs():
-    graphs = [erdos_renyi_graph(35, 0.3, seed=seed) for seed in range(4)]
-    graphs.append(community_graph(3, 10, intra_probability=0.8, inter_edges=2, seed=5))
-    graphs.append(erdos_renyi_graph(24, 0.5, seed=9))
-    return graphs
+    """Some cases prune the working graph, so the scoped path is compared too."""
+    shrunk = [
+        (graph_index, k, delta, restarts)
+        for graph_index, graph in enumerate(GRAPHS)
+        for k, delta in QUERIES
+        for restarts in RESTARTS
+        if reference_case(graph_index, k, delta, restarts)[3].num_vertices
+        < graph.num_vertices
+    ]
+    assert shrunk
 
 
 @pytest.mark.parametrize("graph_index", range(6))
 def test_growth_loop_identical(graph_index):
-    graph = growth_graphs()[graph_index]
+    """The graph-level growth wrapper against the set-based loop, on every
+    tenth grid graph (community, blobs and four G(n, p))."""
+    graph = GRAPHS[10 * graph_index]
     for start in sorted(graph.vertices(), key=str)[:6]:
         grown = greedy_grow_clique(graph, start, 2, 1, graph.degree)
         reference = greedy_grow_clique_reference(graph, start, 2, 1, graph.degree)
         assert grown == reference
 
 
-def test_run_on_a_compiled_graph_compiles_nothing(monkeypatch):
-    from repro.kernel import compile as kernel_compile
-
-    compiled = []
-    real_compile_kernel = kernel_compile.compile_kernel
-
-    def counting_compile_kernel(target):
-        compiled.append(target)
-        return real_compile_kernel(target)
-
-    monkeypatch.setattr(kernel_compile, "compile_kernel", counting_compile_kernel)
+def test_run_on_a_compiled_graph_compiles_nothing(count_compiles):
     shrinking = 0
     for graph in GRAPHS[:18]:
         graph.compile()
-        compiled.clear()
+        count_compiles.clear()
         for k, delta in QUERIES:
             outcome = HeurRFC().run(graph, k, delta)
             shrinking += len(outcome.coloring) < graph.num_vertices
-        assert compiled == []
+        assert count_compiles == []
     assert shrinking > 0
 
 
