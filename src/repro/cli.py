@@ -463,7 +463,9 @@ def _command_reproduce(args: argparse.Namespace) -> int:
 
     outcome = run_experiment(args.experiment, scale=args.scale)
     print(outcome.report)
-    if outcome.rows and "runtime_us" in outcome.rows[0] and "configuration" in outcome.rows[0]:
+    # The chart plots runtime per configuration against k; experiments
+    # whose rows vary something else (Fig. 9's sample fractions) get none.
+    if outcome.rows and {"k", "runtime_us", "configuration"} <= outcome.rows[0].keys():
         print()
         print(runtime_chart_from_rows(
             outcome.rows,

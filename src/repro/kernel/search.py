@@ -2,18 +2,33 @@
 
 This is the hot path of the whole package.  One :class:`KernelBranchAndBound`
 instance explores one rank-ordered connected component through a
-:class:`~repro.kernel.view.SubgraphView`, enumerating cliques in increasing
-rank order and pruning with size, incumbent, per-attribute feasibility,
-fairness-gap and bound-stack arguments.  Every per-branch set operation is
-collapsed into integer bit arithmetic:
+:class:`~repro.kernel.view.SubgraphView`, and every per-branch set operation
+is integer bit arithmetic.
 
-* candidate narrowing ``{v in C, rank(v) > rank(u)} ∩ N(u)`` is
-  ``cand & adj[u] & (-1 << (p + 1))`` — three machine-word ops per word
-  instead of a Python-level hash probe per candidate;
-* attribute feasibility and fairness-gap counts are one AND + popcount per
-  attribute value;
-* the incumbent clique only materialises back to original vertex ids when it
-  actually improves.
+* **The root loop** visits positions in descending CalColorOD rank (big
+  colorful cores first, so the incumbent grows early), and root ``p`` draws
+  its candidates from its neighbours at higher positions
+  (``adj[p] & (-1 << (p + 1))``).  Every clique is thus assembled from its
+  lowest-ranked member, and disjoint root masks split a component into
+  disjoint subtrees (:meth:`KernelBranchAndBound.run`).
+* **Below the root the loop is coloring-ordered** (MCQ: Tomita and Seki,
+  DMTCS 2003; BBMC: San Segundo et al., Computers & OR 2011).  A node's
+  candidate mask is greedy-colored once, one maximal independent set at a
+  time from the highest position down, and the node branches on the
+  classes from the highest color down.  A vertex leaves the node's
+  ``remaining`` mask once it has been branched on, and its child's
+  candidates are ``remaining & adj[p]``: all colored below ``p``'s class
+  ``c``.  So one coloring bounds every child with the paper's color bounds
+  (Section IV, Lemmas 7-9) plus R's attribute counts.  With ``A``/``B``
+  the classes in ``1..c`` holding only value 0 / only value 1, ``M`` the
+  mixed ones, and ``t`` the size to beat, the child is pruned when some
+  value's quota is out of reach (``cnt_i(R)`` plus the classes holding
+  ``i``), when ``|R| + c <= t``, or, on gap-capped models, when
+  ``2 * bsv(A + cnt_0(R), B + cnt_1(R), M) + gap <= t`` (ubeac).  These
+  only fall as ``c`` falls, so the first prune ends the node's loop.
+  Without a bound stack (the plain MaxRFC baseline of Figs. 6-7) the loop
+  keeps the same order and stops only when ``|R| + |remaining|`` cannot
+  beat the incumbent.
 
 The fairness condition itself comes from an
 :class:`~repro.models.base.ActiveModel`: per-attribute-value lower quotas,
@@ -21,26 +36,29 @@ the optional binary gap cap, the minimum feasible clique size, and the bound
 stack.  The search consumes only that data — it never branches on model
 names or stack configurations, so every model (including the multi-attribute
 weak model over any domain size) runs through this one implementation.
+The stack itself is evaluated only at depths below ``bound_depth``, because
+each evaluation recolors its scope.
 
-Structurally the recursion is *child-inlined*: a node's prologue (record the
-clique, size/attribute/fairness/bound prunes) is evaluated inline in the
-parent's candidate loop, and a Python call is spent only on children that
-survive it and still have candidates to iterate.  Most branch-and-bound
-nodes are pruned leaves, so this removes the interpreter's call overhead
-from the bulk of the tree while visiting exactly the same nodes in exactly
-the same order.
+Structurally the recursion is *child-inlined*: a child's prologue (record
+the clique, size/attribute/fairness/bound prunes, then its coloring and
+color-size prune) is evaluated inline in the parent's loop, and a Python
+call is spent only on children that survive it.  The root and the deeper
+levels share that prologue and differ only in the ``(vertex, candidate
+mask)`` pairs their generators yield and in when they stop.
 
 The traversal order is deterministic, so a patched kernel and a fresh
 compile of the same graph return the *same clique* with the same statistics
 counters (pinned by ``tests/test_incremental/test_fuzz.py``), and the
 optimum's size is checked against an independent brute-force oracle
-(``tests/test_search/test_oracle_fuzz.py``).
+(``tests/test_search/test_oracle_fuzz.py``) and against planted optima
+(``tests/test_search/test_planted_grid.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
+from repro.cores.enhanced import balanced_split_value
 from repro.kernel.bounds import stack_prunes
 from repro.kernel.view import SubgraphView
 from repro.models.base import ActiveModel
@@ -85,6 +103,7 @@ class KernelBranchAndBound:
         "best_size",
         "best_clique",
         "on_improve",
+        "non_adj",
     )
 
     def __init__(
@@ -120,6 +139,10 @@ class KernelBranchAndBound:
         # narrower than the kernel's values, which would have no quota slot
         # to count those vertices toward.
         self.domain_masks, self.domain_codes = model.view_slots(view)
+        # Positions outside each closed neighbourhood: one AND per colored
+        # vertex drops it and its neighbours from the class being built.
+        full = view.full_mask
+        self.non_adj = [full ^ (row | 1 << p) for p, row in enumerate(view.adj)]
 
     def run(self, roots: int | None = None) -> tuple[int, frozenset]:
         """Explore the component; return the (possibly improved) incumbent.
@@ -172,31 +195,122 @@ class KernelBranchAndBound:
             ):
                 stats.pruned_by_bound += 1
                 return self.best_size, self.best_clique
-        self._expand(0, [0] * self.num_values, cand_mask, 0, 0, roots)
+        self._expand(0, [0] * self.num_values, cand_mask, 0, roots=roots)
         return self.best_size, self.best_clique
+
+    def _root_children(
+        self, cand_mask: int, roots: int | None,
+    ) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(p, bit, candidates)`` for the root loop.
+
+        Positions in descending rank, restricted to ``roots``; root ``p``
+        draws its candidates from its neighbours at higher positions, so
+        ``n - p`` bounds the size of any clique it roots.
+        """
+        stats = self.stats
+        adj = self.view.adj
+        n = self.view.n
+        floor = self.min_size - 1
+        mask = cand_mask if roots is None else cand_mask & roots
+        while mask:
+            p = mask.bit_length() - 1
+            low = 1 << p
+            mask ^= low
+            if n - p <= max(self.best_size, floor):
+                stats.pruned_by_incumbent += 1
+                continue
+            yield p, low, cand_mask & adj[p] & (-1 << (p + 1))
+
+    def _colored_children(
+        self, counts_r: list[int], cand_mask: int, classes: list[int], size_r: int,
+    ) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(p, bit, candidates)`` for a below-root node, by color.
+
+        ``classes`` is the node's coloring (see :meth:`_expand`); they are
+        visited from the highest down, each from its highest position.  With
+        a bound stack the first child the color bound dismisses ends the
+        loop; without one, only ``|R| + |remaining|`` can.  ``counts_r``
+        holds R's counts whenever the generator resumes (the caller undoes
+        its child).
+        """
+        stats = self.stats
+        adj = self.view.adj
+        masks = self.domain_masks
+        lower = self.lower
+        gap = self.gap
+        floor = self.min_size - 1
+        num_values = self.num_values
+        color_bound = self.bound_stack is not None
+        if color_bound:
+            # held[i]: how many of the classes 1..c hold domain value i.
+            held = [0] * num_values
+            for color_class in classes:
+                for i in range(num_values):
+                    if color_class & masks[i]:
+                        held[i] += 1
+        remaining = cand_mask
+        for c in range(len(classes), 0, -1):
+            color_class = classes[c - 1]
+            if color_bound:
+                for i in range(num_values):
+                    if counts_r[i] + held[i] < lower[i]:
+                        stats.pruned_by_attribute_feasibility += 1
+                        return
+                balance_bound = size_r + c
+                if gap is not None:
+                    mixed = held[0] + held[1] - c
+                    balance_bound = gap + 2 * balanced_split_value(
+                        counts_r[0] + held[0] - mixed,
+                        counts_r[1] + held[1] - mixed,
+                        mixed,
+                    )
+                for i in range(num_values):
+                    if color_class & masks[i]:
+                        held[i] -= 1
+            members = color_class
+            while members:
+                p = members.bit_length() - 1
+                low = 1 << p
+                members ^= low
+                best = max(self.best_size, floor)
+                if color_bound:
+                    if size_r + c <= best:
+                        stats.pruned_by_incumbent += 1
+                        return
+                    if balance_bound <= best:
+                        stats.pruned_by_fairness_gap += 1
+                        return
+                elif size_r + remaining.bit_count() <= best:
+                    stats.pruned_by_incumbent += 1
+                    return
+                remaining ^= low
+                yield p, low, remaining & adj[p]
 
     def _expand(
         self,
         clique_mask: int,
         counts_r: list[int],
         cand_mask: int,
-        depth: int,
         size_r: int,
+        classes: list[int] | None = None,
         roots: int | None = None,
     ) -> None:
-        """Iterate the candidates of a node that already survived its prologue.
+        """Iterate the children of a node that already survived its prologue.
 
         Every child's prologue — counters, budget, fairness record, size /
-        attribute-feasibility / fairness-gap / bound prunes — runs inline
-        here; only children that reach their own candidate loop recurse.
+        attribute-feasibility / fairness-gap / bound prunes, then the
+        coloring of its candidates — runs inline here; only children that
+        reach their own candidate loop recurse.
         ``counts_r`` holds the per-domain-value attribute counts of R and is
         shared down the recursion mutate-then-undo style, so no per-node
-        allocation happens for the clique side.  ``roots`` (depth 0 only)
-        masks the positions the root loop iterates; see :meth:`run`.
+        allocation happens for the clique side.  ``classes`` is the coloring
+        of ``cand_mask`` below the root: a child's prologue colors its
+        candidates once, so a child whose colors cannot beat the incumbent
+        never costs a call.  ``roots`` (root only, ``size_r == 0``) masks
+        the positions the root loop iterates; see :meth:`run`.
         """
         stats = self.stats
         view = self.view
-        adj = view.adj
         masks = self.domain_masks
         code_of = self.domain_codes
         lower = self.lower
@@ -206,7 +320,7 @@ class KernelBranchAndBound:
         last = num_values - 1
         # Two-value domains (every binary model, and multi_weak on binary
         # graphs) keep the historic all-scalar arithmetic: one popcount and
-        # zero per-node allocations.  This is an *arity* specialisation of
+        # no per-node count arrays.  This is an *arity* specialisation of
         # the same decision procedure, not a model branch — wider domains
         # take the generic per-value loop below with identical semantics.
         binary = num_values == 2
@@ -216,46 +330,14 @@ class KernelBranchAndBound:
             lower_1 = lower[1]
         has_budget = self.has_budget
         stack = self.bound_stack
-        child_bounded = stack is not None and depth + 1 < self.bound_depth
-        child_depth = depth + 1
+        non_adj = self.non_adj
         child_size = size_r + 1
-
-        # Root candidates in descending rank (big colorful cores first, so
-        # the incumbent grows early), deeper levels ascending so the
-        # suffix-size early exit holds.
-        # Candidates are streamed straight off the mask — no positions list
-        # is materialised per node.
-        mask = cand_mask
-        if depth == 0:
-            # The root candidate mask is the contiguous full mask, so the
-            # vertex at position p has view.n - p candidates from p upward.
-            num_positions = view.n
-            if roots is not None:
-                mask &= roots
-        else:
-            iteration = cand_mask.bit_count() + 1
-        while mask:
-            if depth == 0:
-                # Descending rank: peel the highest set bit.
-                p = mask.bit_length() - 1
-                low = 1 << p
-                mask ^= low
-                remaining = num_positions - p
-            else:
-                low = mask & -mask
-                mask ^= low
-                iteration -= 1
-                remaining = iteration
-                p = low.bit_length() - 1
-            limit = self.best_size + 1
-            if limit < min_size:
-                limit = min_size
-            if size_r + remaining < limit:
-                stats.pruned_by_incumbent += 1
-                if depth == 0:
-                    continue
-                break
-
+        child_bounded = stack is not None and child_size < self.bound_depth
+        children = (
+            self._root_children(cand_mask, roots) if classes is None
+            else self._colored_children(counts_r, cand_mask, classes, size_r)
+        )
+        for p, low, new_cand in children:
             # ---------------- child prologue, inline ---------------- #
             stats.branches_explored += 1
             if has_budget:
@@ -285,7 +367,6 @@ class KernelBranchAndBound:
                     stats.solutions_found += 1
                     if self.on_improve is not None:
                         self.on_improve(child_size)
-            new_cand = cand_mask & adj[p] & (-1 << (p + 1))
             if not new_cand:
                 counts_r[code] -= 1
                 continue
@@ -353,7 +434,24 @@ class KernelBranchAndBound:
                     stats.pruned_by_bound += 1
                     counts_r[code] -= 1
                     continue
+            # Greedy-color the child's candidates (BBMC): peel one maximal
+            # independent set at a time, highest position first.
+            child_classes = []
+            uncolored = new_cand
+            while uncolored:
+                q = uncolored
+                color_class = 0
+                while q:
+                    v = q.bit_length() - 1
+                    color_class |= 1 << v
+                    q &= non_adj[v]
+                uncolored ^= color_class
+                child_classes.append(color_class)
+            if stack is not None and child_size + len(child_classes) < limit:
+                stats.pruned_by_incumbent += 1
+                counts_r[code] -= 1
+                continue
             self._expand(
-                clique_mask | low, counts_r, new_cand, child_depth, child_size,
+                clique_mask | low, counts_r, new_cand, child_size, child_classes,
             )
             counts_r[code] -= 1

@@ -1,9 +1,10 @@
 """Dense local views of a kernel subset (one search component, typically).
 
 The branch-and-bound explores one connected component at a time with its
-vertices renumbered ``0..m-1`` *in rank order*, so that the ordering filter
-"only add candidates ranked after the newest member" becomes a single
-shift-mask over a component-local bitset.  :class:`SubgraphView` holds that
+vertices renumbered ``0..m-1`` *in rank order*, so that the root loop's
+ordering filter "a root draws candidates ranked after it" becomes a single
+shift-mask over a component-local bitset (below the root the search orders
+candidates by its own coloring instead).  :class:`SubgraphView` holds that
 local world plus the hooks bounds need: full-graph degrees and tie keys (to
 reproduce the package's greedy coloring exactly) and the original vertex ids
 (to fall back to dict-based bound implementations where no kernel port

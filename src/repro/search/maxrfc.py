@@ -9,10 +9,14 @@ The solver follows the paper's architecture:
    already prune hard.
 3. For every connected component of the reduced graph, compute the
    colorful-core vertex ordering ``CalColorOD`` and run a **branch-and-bound**
-   enumeration of cliques in increasing-order fashion, pruning with
-   (a) size / incumbent arguments, (b) per-attribute feasibility,
-   (c) the fairness-gap argument, and (d) a configurable stack of the
-   Section IV upper bounds.
+   whose root loop visits the vertices in that order, each with its
+   higher-ranked neighbours as candidates, and whose deeper levels branch in
+   descending greedy-color order (MCQ/BBMC), pruning with (a) size /
+   incumbent arguments, (b) per-attribute feasibility, (c) the
+   fairness-gap argument, (d) the Section IV color bounds (ubc, ubac,
+   ubeac) read off each node's one coloring whenever a bound stack is
+   configured, and (e) the configurable stack of Section IV upper bounds
+   itself in the first ``bound_depth`` levels.
 
 The fairness condition itself is pluggable: :meth:`MaxRFC.solve_model` takes
 any :class:`~repro.models.base.FairnessModel` (relative, weak, strong, or the

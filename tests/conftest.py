@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -180,3 +181,103 @@ def count_compiles(monkeypatch) -> CompileRecord:
 
     monkeypatch.setattr(kernel_compile, "compile_kernel", counting_compile_kernel)
     return record
+
+
+@dataclass(frozen=True)
+class PlantedFamily:
+    """Graphs whose maximum fair clique is known by construction.
+
+    The background is a random subgraph (edge probability ``density``) of a
+    complete ``parts``-partite graph on ``num_background`` vertices with
+    random attributes ``a``/``b``, so its clique number is at most
+    ``parts``.  Each ``(count_a, count_b)`` of ``cliques`` plants a clique of
+    that many ``a`` and ``b`` vertices.  Each background vertex is joined,
+    with probability ``attach``, to one random vertex of each planted clique,
+    and no edge runs between planted cliques.  A clique that touches the
+    background thus holds at most ``parts`` background vertices and one
+    planted vertex, so once the best fair subset of a planted clique exceeds
+    ``parts + 1``, it is the optimum (:meth:`optimum`).  The same idea hides
+    cliques in the DIMACS camouflage families (Brockington and Culberson,
+    DIMACS Series 26, 1996).
+    """
+
+    num_background: int
+    parts: int
+    density: float
+    cliques: tuple[tuple[int, int], ...]
+    attach: float = 0.3
+
+    def graph(self, seed: int = 0) -> AttributedGraph:
+        rng = random.Random(seed)
+        graph = AttributedGraph()
+        part = [rng.randrange(self.parts) for _ in range(self.num_background)]
+        for v in range(self.num_background):
+            graph.add_vertex(v, rng.choice("ab"))
+        for u in range(self.num_background):
+            for v in range(u + 1, self.num_background):
+                if part[u] != part[v] and rng.random() < self.density:
+                    graph.add_edge(u, v)
+        next_id = self.num_background
+        for count_a, count_b in self.cliques:
+            members = range(next_id, next_id + count_a + count_b)
+            next_id += count_a + count_b
+            for v in members:
+                graph.add_vertex(v, "a" if v - members[0] < count_a else "b")
+            for i, u in enumerate(members):
+                for v in members[i + 1:]:
+                    graph.add_edge(u, v)
+            for u in range(self.num_background):
+                if rng.random() < self.attach:
+                    graph.add_edge(u, rng.choice(members))
+        return graph
+
+    def optimum(self, model: str, k: int, delta: int | None = None) -> int:
+        """Size of a maximum fair clique; fails when the construction does
+        not pin it (no planted fair subset larger than ``parts + 1``)."""
+        best = 0
+        for count_a, count_b in self.cliques:
+            if min(count_a, count_b) < k:
+                continue
+            if model == "relative":
+                size = min(count_a, count_b + delta) + min(count_b, count_a + delta)
+            elif model == "strong":
+                size = 2 * min(count_a, count_b)
+            else:  # weak and multi_weak: no cap on the gap
+                size = count_a + count_b
+            best = max(best, size)
+        assert best > self.parts + 1, "the planted cliques do not pin the optimum"
+        return best
+
+
+@pytest.fixture
+def planted_family():
+    """:class:`PlantedFamily`: graphs with a known maximum fair clique."""
+    return PlantedFamily
+
+
+def assert_searches_past_budget_checks(report) -> None:
+    """The unbudgeted ``report`` explored at least 2 * 64 branches per shard.
+
+    Budget and stop checks run every 64 branches, so a shard that finishes
+    sooner never sees an expired deadline or a set stop flag.  A test whose
+    input stops searching that long must fail here, not in its abort
+    assertions.  Twice the interval leaves room for the shared incumbent:
+    a shard explores fewer branches the sooner another finds the optimum.
+    """
+    shards = report.metadata.get("parallel", {}).get("shards", 1)
+    assert report.stats.branches_explored >= 2 * 64 * shards, (
+        f"{report.stats.branches_explored} branches over {shards} shard(s)"
+    )
+
+
+@pytest.fixture
+def budget_graph(planted_family) -> AttributedGraph:
+    """A planted family (n = 169) whose solves still search past many
+    budget checks; pair it with :func:`assert_searches_past_budget_checks`."""
+    return planted_family(140, 12, 0.75, ((8, 7), (7, 7))).graph(seed=0)
+
+
+@pytest.fixture
+def searches_past_budget_checks():
+    """:func:`assert_searches_past_budget_checks`."""
+    return assert_searches_past_budget_checks

@@ -82,6 +82,13 @@ class TestOtherCommands:
         assert "dataset" in csv_path.read_text().splitlines()[0]
         assert "Fig. 4 / Fig. 5" in capsys.readouterr().out
 
+    def test_reproduce_fig9_prints_its_report(self, capsys):
+        # Fig. 9 rows vary the sample fraction, not k: no runtime chart.
+        assert main(["reproduce", "fig9", "--scale", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "fraction" in out
+        assert "runtime (log-scale bars)" not in out
+
     def test_reproduce_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig99"])

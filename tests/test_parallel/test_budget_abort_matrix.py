@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import FairCliqueQuery, solve
-from repro.graph.generators import community_graph
 from repro.search.verification import is_relative_fair_clique
 from repro.variants.multi_attribute import is_multi_attribute_weak_fair_clique
 
@@ -22,11 +21,6 @@ WORKERS = (1, 2, 4)
 #: A deadline that has already expired when the first budget check runs —
 #: every shard that reaches 64 branches aborts, deterministically.
 EXPIRED = 1e-6
-
-
-def _graph():
-    """Dense enough that every component explores well past 64 branches."""
-    return community_graph(3, 40, intra_probability=0.5, inter_edges=0, seed=21)
 
 
 def _query(model: str, workers: int, time_limit: float | None) -> FairCliqueQuery:
@@ -49,10 +43,12 @@ def _assert_valid(graph, report) -> None:
 class TestBudgetAbortMatrix:
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("model", MODELS)
-    def test_aborted_partial_merge(self, model, workers):
-        graph = _graph()
-        optimum = solve(graph, _query(model, 1, None))
+    def test_aborted_partial_merge(self, budget_graph, searches_past_budget_checks,
+                                   model, workers):
+        graph = budget_graph
+        optimum = solve(graph, _query(model, workers, None))
         assert optimum.optimal and not optimum.aborted
+        searches_past_budget_checks(optimum)
 
         report = solve(graph, _query(model, workers, EXPIRED))
         assert report.aborted, (model, workers)
@@ -68,11 +64,13 @@ class TestBudgetAbortMatrix:
             # An abort is a truncation, not a loss: every shard reported.
             assert not parallel["degraded"]
 
-    def test_abort_does_not_poison_later_solves(self):
+    def test_abort_does_not_poison_later_solves(self, budget_graph,
+                                                searches_past_budget_checks):
         # The same graph solved again without a budget is exact: abort
         # state lives in the report, not in module globals.
-        graph = _graph()
+        graph = budget_graph
         aborted = solve(graph, _query("relative", 2, EXPIRED))
         assert aborted.aborted
         clean = solve(graph, _query("relative", 2, None))
         assert clean.optimal and not clean.aborted
+        searches_past_budget_checks(clean)

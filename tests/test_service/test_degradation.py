@@ -18,10 +18,9 @@ import time
 
 import pytest
 
-from repro.api import FairCliqueQuery, FairCliqueSession
+from repro.api import FairCliqueQuery, FairCliqueSession, solve
 from repro.graph.builders import paper_example_graph
-from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.generators import community_graph, quasi_clique_blobs
+from repro.graph.generators import community_graph
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.resilience.retry import RetryPolicy
 from repro.service import (
@@ -192,13 +191,14 @@ class TestClientRetry:
 
 class TestStreamStop:
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_preset_stop_event_aborts_stream_solve(self, workers):
+    def test_preset_stop_event_aborts_stream_solve(
+        self, budget_graph, searches_past_budget_checks, workers,
+    ):
         # The service wires its disconnect Event straight into the solver's
         # budget check; a pre-set event must abort at the first check, in
         # the pool's workers as in the serial search.
-        graph = community_graph(
-            3, 40, intra_probability=0.5, inter_edges=0, seed=21
-        )
+        graph = budget_graph
+        searches_past_budget_checks(solve(graph, _query(workers=workers)))
         stop = threading.Event()
         stop.set()
         with FairCliqueSession(graph) as session:
@@ -208,10 +208,11 @@ class TestStreamStop:
         assert final.report.aborted
         assert not final.report.optimal
 
-    def test_abandoning_a_parallel_stream_stops_its_workers(self):
-        # One 400-vertex blob: a workers=2 solve takes seconds, so a solve
-        # thread that ends right after close() was stopped, not finished.
-        graph = quasi_clique_blobs(AttributedGraph(), 1, 400, 0.40, seed=17)
+    def test_abandoning_a_parallel_stream_stops_its_workers(self, planted_family):
+        # Unstopped, this workers=2 solve without the seed takes seconds
+        # (8.4 s on a 2-vCPU host), so a solve thread that ends right after
+        # close() was stopped, not finished.
+        graph = planted_family(450, 10, 0.6, ((7, 6), (6, 6))).graph(seed=0)
         query = _query(workers=2, options={"use_heuristic": False})
         with FairCliqueSession(graph) as session:
             iterator = session.stream(query)
