@@ -18,11 +18,18 @@ back to their dict implementation through a lazily materialised
 :class:`~repro.bounds.base.BoundContext`; the fallback shares one context per
 evaluation so the coloring is computed at most once.
 
-Both paths produce identical values for identical instances (the kernel
+By default an evaluation colors its scope in the package's degree order, and
+then both paths produce identical values for identical instances (the kernel
 coloring replicates the dict greedy coloring, the peels converge to canonical
-core numbers, and the path DP runs over the same total order), so switching a
-search between them never changes which branches are pruned — the parity
-suite pins this per bound and per stack.
+core numbers, and the path DP runs over the same total order): for
+:func:`evaluate_bound` and :func:`stack_evaluate`, switching between them
+never changes a value — the parity suite pins this per bound and per stack.
+The search instead hands :func:`stack_prunes` the coloring it already built
+for the node (MCQ/BBMC: Tomita and Seki, DMTCS 2003; San Segundo et al.,
+Computers & OR 2011).  Any proper coloring of the scope keeps every color
+bound (ubc, ubac, ubeac, ubcd, ubch, ubcp) valid, since a clique takes at
+most one vertex per class; the values, and so the pruned branches, may
+differ from the degree-order ones.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ class _Evaluation:
         cand_mask: int,
         k: int,
         delta: int,
+        class_masks: list[int] | None = None,
     ) -> None:
         self.view = view
         self.clique_mask = clique_mask
@@ -63,7 +71,7 @@ class _Evaluation:
         self.scope = clique_mask | cand_mask
         self.k = k
         self.delta = delta
-        self._class_masks: list[int] | None = None
+        self._class_masks = class_masks
         self._colors: list[int] | None = None
         self._positions: list[int] | None = None
         self._min_colorful: list[int] | None = None
@@ -299,13 +307,17 @@ def stack_prunes(
     k: int,
     delta: int,
     threshold: int,
+    classes: list[int] | None = None,
 ) -> bool:
     """Kernel analogue of :meth:`BoundStack.prunes` for one ``(R, C)`` instance.
 
     Bounds are consulted in the stack's cheapest-first order; the first value
     at or below ``threshold`` short-circuits, exactly like the dict path.
+    ``classes``, when given, must be a proper coloring of
+    ``clique_mask | cand_mask`` (one bitset per class); the color bounds
+    then read it instead of recoloring the scope.
     """
-    ev = _Evaluation(view, clique_mask, cand_mask, k, delta)
+    ev = _Evaluation(view, clique_mask, cand_mask, k, delta, classes)
     for bound in stack.bounds:
         if bound.name in KERNEL_BOUNDS:
             value = _evaluate(bound.name, ev)

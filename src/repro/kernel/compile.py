@@ -36,6 +36,8 @@ from repro.kernel.bitops import bits_list, iter_bits, mask_from_indices_wide
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.graph.attributed_graph import AttributedGraph, Vertex
+    from repro.kernel.view import ComponentLayout
+    from repro.search.ordering import OrderingStrategy
 
 
 class GraphKernel:
@@ -63,6 +65,7 @@ class GraphKernel:
         "_core_numbers",
         "_component_masks",
         "_colorful_cores",
+        "_layouts",
     )
 
     def __init__(
@@ -99,13 +102,18 @@ class GraphKernel:
         self._colorful_cores: Optional[
             tuple[tuple[int, ...], tuple[int, ...]]
         ] = None
+        self._layouts: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
     # Pickling: explicit and slot-based, so every supported Python routes
     # pickles through ``__getstate__`` (``object`` has one only from 3.11)
     # ------------------------------------------------------------------ #
     def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        state = {slot: getattr(self, slot) for slot in self.__slots__}
+        # Search layouts are derived rows: a spawned worker builds those of
+        # the components it searches rather than unpickling every one.
+        state["_layouts"] = None
+        return state
 
     def __setstate__(self, state) -> None:
         for name, value in state.items():
@@ -239,6 +247,37 @@ class GraphKernel:
                 tuple(cores[index] for index in range(self.n)),
             )
         return self._colorful_cores
+
+    # ------------------------------------------------------------------ #
+    # Search layouts of components (built lazily, cached)
+    # ------------------------------------------------------------------ #
+    def component_layout(
+        self,
+        component_index: int,
+        ordering: "OrderingStrategy",
+        graph: "AttributedGraph | None" = None,
+    ) -> "ComponentLayout":
+        """The search layout of one component under ``ordering``, built once.
+
+        Cached by ``(component_index, ordering)``, so every solve on this
+        snapshot (warm re-solves, and pool workers forked after the
+        coordinator filled the cache) reuses the renumbered rows.  A layout
+        refers to no kernel and no graph, so the cache forms no reference
+        cycle.  ``graph`` is the dict graph this kernel was compiled from;
+        only orderings other than CalColorOD read it.
+        """
+        if self._layouts is None:
+            self._layouts = {}
+        key = (component_index, ordering)
+        layout = self._layouts.get(key)
+        if layout is None:
+            from repro.kernel.view import ComponentLayout
+
+            layout = ComponentLayout.of_component(
+                self, component_index, ordering, graph
+            )
+            self._layouts[key] = layout
+        return layout
 
     # ------------------------------------------------------------------ #
     # Connected components (computed lazily, cached)

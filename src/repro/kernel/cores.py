@@ -249,7 +249,7 @@ def colorful_core_order(kernel: GraphKernel, scope_mask: int) -> list:
     """CalColorOD on the kernel: rank-ordered original ids of ``scope_mask``.
 
     ``scope_mask`` must be a union of connected components (its caller,
-    :func:`repro.parallel.sharding.component_view`, passes one component):
+    :meth:`repro.kernel.view.ComponentLayout.of_component`, passes one):
     the order then reads the kernel's cached
     :meth:`~repro.kernel.compile.GraphKernel.colorful_cores`, which equal a
     coloring and colorful core peel scoped to the mask.  Result-identical to

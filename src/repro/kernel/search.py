@@ -36,14 +36,17 @@ the optional binary gap cap, the minimum feasible clique size, and the bound
 stack.  The search consumes only that data — it never branches on model
 names or stack configurations, so every model (including the multi-attribute
 weak model over any domain size) runs through this one implementation.
-The stack itself is evaluated only at depths below ``bound_depth``, because
-each evaluation recolors its scope.
+The stack itself is evaluated only at depths below ``bound_depth``.  Below
+the root it reads the child's own coloring, extended by one singleton class
+per member of R (each is adjacent to every candidate and to the others), so
+it costs no second coloring; only the root's one evaluation per component
+colors its scope in the package's degree order.
 
 Structurally the recursion is *child-inlined*: a child's prologue (record
-the clique, size/attribute/fairness/bound prunes, then its coloring and
-color-size prune) is evaluated inline in the parent's loop, and a Python
-call is spent only on children that survive it.  The root and the deeper
-levels share that prologue and differ only in the ``(vertex, candidate
+the clique, size/attribute/fairness prunes, its coloring and color-size
+prune, then the bound stack) is evaluated inline in the parent's loop, and a
+Python call is spent only on children that survive it.  The root and the
+deeper levels share that prologue and differ only in the ``(vertex, candidate
 mask)`` pairs their generators yield and in when they stop.
 
 The traversal order is deterministic, so a patched kernel and a fresh
@@ -59,6 +62,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from repro.cores.enhanced import balanced_split_value
+from repro.kernel.bitops import bits_list
 from repro.kernel.bounds import stack_prunes
 from repro.kernel.view import SubgraphView
 from repro.models.base import ActiveModel
@@ -103,7 +107,6 @@ class KernelBranchAndBound:
         "best_size",
         "best_clique",
         "on_improve",
-        "non_adj",
     )
 
     def __init__(
@@ -139,10 +142,6 @@ class KernelBranchAndBound:
         # narrower than the kernel's values, which would have no quota slot
         # to count those vertices toward.
         self.domain_masks, self.domain_codes = model.view_slots(view)
-        # Positions outside each closed neighbourhood: one AND per colored
-        # vertex drops it and its neighbours from the class being built.
-        full = view.full_mask
-        self.non_adj = [full ^ (row | 1 << p) for p, row in enumerate(view.adj)]
 
     def run(self, roots: int | None = None) -> tuple[int, frozenset]:
         """Explore the component; return the (possibly improved) incumbent.
@@ -298,9 +297,10 @@ class KernelBranchAndBound:
         """Iterate the children of a node that already survived its prologue.
 
         Every child's prologue — counters, budget, fairness record, size /
-        attribute-feasibility / fairness-gap / bound prunes, then the
-        coloring of its candidates — runs inline here; only children that
-        reach their own candidate loop recurse.
+        attribute-feasibility / fairness-gap prunes, the coloring of its
+        candidates and the color-size prune, then the bound stack over that
+        coloring — runs inline here; only children that reach their own
+        candidate loop recurse.
         ``counts_r`` holds the per-domain-value attribute counts of R and is
         shared down the recursion mutate-then-undo style, so no per-node
         allocation happens for the clique side.  ``classes`` is the coloring
@@ -330,7 +330,7 @@ class KernelBranchAndBound:
             lower_1 = lower[1]
         has_budget = self.has_budget
         stack = self.bound_stack
-        non_adj = self.non_adj
+        non_adj = view.non_adj
         child_size = size_r + 1
         child_bounded = stack is not None and child_size < self.bound_depth
         children = (
@@ -424,16 +424,6 @@ class KernelBranchAndBound:
                     stats.pruned_by_fairness_gap += 1
                     counts_r[code] -= 1
                     continue
-            if child_bounded:
-                stats.bound_evaluations += 1
-                if stack_prunes(
-                    view, stack, clique_mask | low, new_cand,
-                    self.model.quota, self.model.bound_delta,
-                    max(min_size - 1, self.best_size),
-                ):
-                    stats.pruned_by_bound += 1
-                    counts_r[code] -= 1
-                    continue
             # Greedy-color the child's candidates (BBMC): peel one maximal
             # independent set at a time, highest position first.
             child_classes = []
@@ -451,7 +441,21 @@ class KernelBranchAndBound:
                 stats.pruned_by_incumbent += 1
                 counts_r[code] -= 1
                 continue
+            child_clique = clique_mask | low
+            if child_bounded:
+                stats.bound_evaluations += 1
+                # R + p is a clique adjacent to every candidate, so one
+                # singleton class per member extends the candidates'
+                # coloring to a proper coloring of the whole scope.
+                if stack_prunes(
+                    view, stack, child_clique, new_cand,
+                    self.model.quota, self.model.bound_delta, limit - 1,
+                    child_classes + [1 << q for q in bits_list(child_clique)],
+                ):
+                    stats.pruned_by_bound += 1
+                    counts_r[code] -= 1
+                    continue
             self._expand(
-                clique_mask | low, counts_r, new_cand, child_size, child_classes,
+                child_clique, counts_r, new_cand, child_size, child_classes,
             )
             counts_r[code] -= 1

@@ -217,6 +217,10 @@ class ParallelMaxRFC(MaxRFC):
         stats.extra["parallel"] = telemetry
         if not plan.shards:
             return best
+        # Build every planned component's layout now, so forked workers
+        # inherit the kernel's cache instead of each building its own.
+        for shard in plan.shards:
+            kernel.component_layout(shard.component_index, self.config.ordering, graph)
         try:
             return self._run_pool(
                 kernel, plan, model, best, stats, deadline, telemetry
@@ -370,7 +374,6 @@ class ParallelMaxRFC(MaxRFC):
                 sys.setrecursionlimit(
                     max(sys.getrecursionlimit(), kernel.n + 1000)
                 )
-                serial_views: dict = {}
                 for shard in serial_queue:
                     if stopping():
                         budget_stop = True
@@ -379,7 +382,6 @@ class ParallelMaxRFC(MaxRFC):
                     try:
                         results[shard.index] = worker_module.solve_shard(
                             payload, shard, **shared,
-                            views=serial_views,
                             attempt=attempts[shard.index],
                         )
                         if persist is not None:

@@ -17,8 +17,11 @@ hand one worker all the expensive low-rank roots.
 The plan is the only component schedule in the package: the serial search
 (:meth:`repro.search.maxrfc.MaxRFC._search_components`) runs the one-worker
 plan, in which nothing splits, and every searcher — serial, pool worker or
-the coordinator's serial fallback — builds its component through
-:func:`component_view`.
+the coordinator's serial fallback — opens its component through
+:func:`component_view`.  The view is a per-solve handle over the layout the
+kernel caches (:meth:`~repro.kernel.compile.GraphKernel.component_layout`):
+warm re-solves reuse it, and the parallel coordinator fills the cache for
+every planned component before its pool forks, so workers inherit it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from dataclasses import dataclass
 from repro.graph.attributed_graph import AttributedGraph
 from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
-from repro.kernel.cores import colorful_core_order
 from repro.kernel.view import SubgraphView
 from repro.models.base import ActiveModel
-from repro.search.ordering import OrderingStrategy, compute_ordering
+from repro.search.ordering import OrderingStrategy
 
 #: Components at most this large always run as one shard; larger ones split
 #: when they hold more than a ``1/workers`` share of the surviving vertices.
@@ -97,8 +99,8 @@ def plan_shards(
     than a ``1/workers`` share of the surviving vertices, which one worker
     never exceeds.
     Several similar-sized components already balance across the pool by
-    themselves; splitting them would only multiply per-worker view
-    construction.
+    themselves; splitting them would only multiply the per-shard root
+    prologue and its bound evaluation.
     """
     if not kernel.n:
         return ShardPlan((), 0, 0, 0)
@@ -161,17 +163,12 @@ def component_view(
     ordering: OrderingStrategy,
     graph: AttributedGraph | None = None,
 ) -> SubgraphView:
-    """The rank-ordered view of one component of ``kernel``.
+    """A per-solve view of one component, over the kernel's cached layout.
 
-    CalColorOD runs on the kernel.  The other orderings are defined on the
-    dict graph the kernel was compiled from: pass it as ``graph``, or one is
-    materialised from the kernel, which *is* that graph.
+    :meth:`~repro.kernel.compile.GraphKernel.component_layout` builds the
+    rank-ordered layout once per kernel; ``graph``, the dict graph the
+    kernel was compiled from, is handed to the view (and to the layout's
+    first build, where orderings other than CalColorOD read it).
     """
-    mask = kernel.component_masks()[component_index]
-    if ordering is OrderingStrategy.COLORFUL_CORE:
-        return SubgraphView(kernel, graph, colorful_core_order(kernel, mask))
-    if graph is None:
-        graph = kernel.materialize()
-    component = [kernel.vertex_of[index] for index in bits_list(mask)]
-    rank = compute_ordering(graph, component, ordering)
-    return SubgraphView(kernel, graph, sorted(component, key=lambda v: rank[v]))
+    layout = kernel.component_layout(component_index, ordering, graph)
+    return SubgraphView(kernel, graph, layout)

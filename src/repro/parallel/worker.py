@@ -5,10 +5,11 @@ Each pool worker is initialised exactly once with a :class:`WorkerPayload`
 three shared values.  Under the ``fork`` start method the worker inherits
 them copy-on-write and nothing is pickled; where fork is absent they pickle
 once per *worker*, never per shard.  From then on every shard the worker
-receives references the snapshot by component index; component views are
-built lazily by :func:`~repro.parallel.sharding.component_view` and cached in
-the worker, so two shards of the same split component share one
-:class:`~repro.kernel.view.SubgraphView`.
+receives references the snapshot by component index and opens it through
+:func:`~repro.parallel.sharding.component_view`, over the layout the kernel
+caches.  Forked workers inherit the layouts the coordinator built before
+starting the pool; a spawned worker's kernel arrives without them and
+builds each one once, so two shards of the same split component share it.
 
 The shared values are ``multiprocessing.Value`` objects, handed over as
 pool ``initargs`` (which every start method supports):
@@ -95,7 +96,7 @@ class ShardResult:
     seconds: float = 0.0
 
 
-#: Per-worker state: payload, shared values, and the component view cache.
+#: Per-worker state: the payload and the shared values.
 _STATE: dict = {}
 
 
@@ -110,7 +111,6 @@ def _init_worker(payload: WorkerPayload, shared: dict) -> None:
     _STATE.clear()
     _STATE["payload"] = payload
     _STATE["shared"] = shared
-    _STATE["views"] = {}
     # Recursion can go as deep as the largest clique; give it headroom
     # (mirrors the serial search's guard, which runs in the coordinator).
     sys.setrecursionlimit(max(sys.getrecursionlimit(), payload.kernel.n + 1000))
@@ -219,8 +219,7 @@ def run_shard(shard: Shard, attempt: int = 1) -> ShardResult:
     and let the retry succeed.
     """
     return solve_shard(
-        _STATE["payload"], shard, **_STATE["shared"],
-        views=_STATE["views"], attempt=attempt,
+        _STATE["payload"], shard, **_STATE["shared"], attempt=attempt,
     )
 
 
@@ -231,15 +230,13 @@ def solve_shard(
     channel,
     branch_counter,
     stop,
-    views: dict,
     attempt: int = 1,
 ) -> ShardResult:
     """Solve one shard against an explicit payload (no worker globals).
 
     This is the pure function behind :func:`run_shard`; the coordinator
     calls it directly — in-process — when a shard has exhausted its pool
-    retries and falls back to serial execution.  ``views`` caches component
-    views across calls.
+    retries and falls back to serial execution.
     """
     faults.maybe_fire(
         "shard.run",
@@ -248,14 +245,11 @@ def solve_shard(
         attempt=attempt,
     )
     started = time.monotonic()
-    view = views.get(shard.component_index)
-    if view is None:
-        view = views[shard.component_index] = component_view(
-            payload.kernel, shard.component_index, payload.ordering
-        )
     stats = SearchStats()
     searcher = KernelBranchAndBound(
-        view=view,
+        view=component_view(
+            payload.kernel, shard.component_index, payload.ordering
+        ),
         model=payload.model,
         stats=stats,
         bound_depth=payload.bound_depth,

@@ -78,8 +78,11 @@ class MaxRFCConfig:
         Apply the bound stack to branches at depth strictly less than this
         value.  ``2`` reproduces the paper's "when selecting vertices to be
         added to R for the first time" (the bound is evaluated once per
-        first-vertex branch); larger values trade bound evaluations for extra
-        pruning, ``0`` disables bound evaluation entirely.
+        first-vertex branch that survives the color-size prune); larger
+        values trade bound evaluations for extra pruning, ``0`` disables
+        bound evaluation entirely.  Below the root the stack reads the
+        branch's own greedy coloring (any proper coloring keeps the color
+        bounds valid), so a deeper evaluation costs no extra coloring.
     ordering:
         Vertex-ordering strategy (CalColorOD by default).
     time_limit:

@@ -210,8 +210,8 @@ class TestPickledPayload:
         clone = pickle.loads(pickle.dumps(payload))
         assert type(clone.kernel) is GraphKernel
         for shard in plan.shards:
-            ours = solve_shard(payload, shard, **_shared_values(), views={})
-            theirs = solve_shard(clone, shard, **_shared_values(), views={})
+            ours = solve_shard(payload, shard, **_shared_values())
+            theirs = solve_shard(clone, shard, **_shared_values())
             assert theirs.clique == ours.clique, shard
             assert (
                 theirs.stats.branches_explored == ours.stats.branches_explored
@@ -221,15 +221,17 @@ class TestPickledPayload:
         """Emulate a platform without fork: a ``spawn`` pool whose workers
         can only receive the kernel and the shared values by pickle.  Every
         shard must still run in a worker, and the kernel must be pickled
-        exactly once per worker process started."""
+        exactly once per worker process started, without the layouts the
+        coordinator cached before starting the pool."""
         graph = _multi_component_graph()
         serial = solve(graph, _query("relative", None))
-        pickled: list[None] = []
+        pickled: list[tuple] = []
         original = GraphKernel.__getstate__
 
         def counting(self):
-            pickled.append(None)
-            return original(self)
+            state = original(self)
+            pickled.append((self._layouts, state))
+            return state
 
         monkeypatch.setattr(GraphKernel, "__getstate__", counting)
         started: list = []
@@ -244,6 +246,9 @@ class TestPickledPayload:
         assert parallel["pool_breaks"] == 0
         assert 1 <= len(started) <= parallel["pool_size"]
         assert len(pickled) == len(started)
+        for cached, state in pickled:
+            assert cached
+            assert state["_layouts"] is None
 
 
 class TestBudgetAborts:
