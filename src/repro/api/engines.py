@@ -104,7 +104,6 @@ def _resolve_exact(graph: AttributedGraph, query: FairCliqueQuery):
         "use_heuristic": True,
         "ordering": None,
         "branch_limit": None,
-        "bound_depth": 2,
         "reduction_stages": None,
     })
     config_kwargs = {k: v for k, v in options.items() if v is not None or k == "bound_stack"}

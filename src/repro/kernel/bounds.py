@@ -13,17 +13,17 @@ evaluator on a :class:`~repro.kernel.view.SubgraphView`:
   color-class masks + popcounts, so the kernel search never round-trips to
   dict structures for any predefined stack.
 
-Custom third-party bounds (anything not in :data:`KERNEL_BOUNDS`) still fall
-back to their dict implementation through a lazily materialised
-:class:`~repro.bounds.base.BoundContext`; the fallback shares one context per
-evaluation so the coloring is computed at most once.
+A bound outside :data:`KERNEL_BOUNDS` has no evaluator here; every stack a
+solve runs is checked against that set by
+:meth:`~repro.models.base.FairnessModel.resolve_bound_stack`.  The dict
+implementations in :mod:`repro.bounds` remain the references.
 
 By default an evaluation colors its scope in the package's degree order, and
-then both paths produce identical values for identical instances (the kernel
-coloring replicates the dict greedy coloring, the peels converge to canonical
-core numbers, and the path DP runs over the same total order): for
-:func:`evaluate_bound` and :func:`stack_evaluate`, switching between them
-never changes a value — the parity suite pins this per bound and per stack.
+then the kernel and the dict references produce identical values for
+identical instances (the kernel coloring replicates the dict greedy
+coloring, the peels converge to canonical core numbers, and the path DP runs
+over the same total order): the parity suite pins this per bound and per
+stack through :func:`evaluate_bound` and :func:`stack_evaluate`.
 The search instead hands :func:`stack_prunes` the coloring it already built
 for the node (MCQ/BBMC: Tomita and Seki, DMTCS 2003; San Segundo et al.,
 Computers & OR 2011).  Any proper coloring of the scope keeps every color
@@ -34,7 +34,7 @@ differ from the degree-order ones.
 
 from __future__ import annotations
 
-from repro.bounds.base import BoundContext, BoundStack, UpperBound
+from repro.bounds.base import BoundStack, UpperBound
 from repro.cores.enhanced import balanced_split_value
 from repro.cores.kcore import h_index_of_values
 from repro.kernel.bitops import bits_list
@@ -50,11 +50,10 @@ KERNEL_BOUNDS = frozenset({
 
 
 class _Evaluation:
-    """Shared per-instance scratch: scope coloring + lazy dict fallback context."""
+    """Shared per-instance scratch: the scope coloring and what derives from it."""
 
     __slots__ = ("view", "clique_mask", "cand_mask", "scope", "k", "delta",
-                 "_class_masks", "_colors", "_positions", "_min_colorful",
-                 "_context")
+                 "_class_masks", "_colors", "_positions", "_min_colorful")
 
     def __init__(
         self,
@@ -75,7 +74,6 @@ class _Evaluation:
         self._colors: list[int] | None = None
         self._positions: list[int] | None = None
         self._min_colorful: list[int] | None = None
-        self._context: BoundContext | None = None
 
     def class_masks(self) -> list[int]:
         if self._class_masks is None:
@@ -126,21 +124,6 @@ class _Evaluation:
                 self.view.adj, self.positions(), self.class_masks(), self.view.attr_a
             )
         return self._min_colorful
-
-    def fallback_context(self) -> BoundContext:
-        if self._context is None:
-            view = self.view
-            attribute_a, attribute_b = view.kernel.attribute_values[:2]
-            self._context = BoundContext(
-                graph=view.source_graph(),
-                clique=view.frozenset_of(self.clique_mask),
-                candidates=view.frozenset_of(self.cand_mask),
-                k=self.k,
-                delta=self.delta,
-                attribute_a=attribute_a,
-                attribute_b=attribute_b,
-            )
-        return self._context
 
 
 def _scope_degeneracy(ev: _Evaluation) -> int:
@@ -289,14 +272,10 @@ def evaluate_bound(
 ) -> int:
     """Evaluate one named bound on a ``(R, C)`` instance of ``view``.
 
-    Dispatches to the native kernel evaluator when one exists and otherwise
-    falls back to the bound's dict implementation; used by the parity suite to
-    pin the two paths value-for-value.
+    The parity suite pins it value-for-value against the bound's dict
+    reference.
     """
-    ev = _Evaluation(view, clique_mask, cand_mask, k, delta)
-    if bound.name in KERNEL_BOUNDS:
-        return _evaluate(bound.name, ev)
-    return bound(ev.fallback_context())
+    return _evaluate(bound.name, _Evaluation(view, clique_mask, cand_mask, k, delta))
 
 
 def stack_prunes(
@@ -319,11 +298,7 @@ def stack_prunes(
     """
     ev = _Evaluation(view, clique_mask, cand_mask, k, delta, classes)
     for bound in stack.bounds:
-        if bound.name in KERNEL_BOUNDS:
-            value = _evaluate(bound.name, ev)
-        else:
-            value = bound(ev.fallback_context())
-        if value <= threshold:
+        if _evaluate(bound.name, ev) <= threshold:
             return True
     return False
 
@@ -338,10 +313,4 @@ def stack_evaluate(
 ) -> int:
     """Kernel analogue of :meth:`BoundStack.evaluate`: min over all bounds."""
     ev = _Evaluation(view, clique_mask, cand_mask, k, delta)
-    values = []
-    for bound in stack.bounds:
-        if bound.name in KERNEL_BOUNDS:
-            values.append(_evaluate(bound.name, ev))
-        else:
-            values.append(bound(ev.fallback_context()))
-    return min(values)
+    return min(_evaluate(bound.name, ev) for bound in stack.bounds)

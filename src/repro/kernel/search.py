@@ -36,11 +36,12 @@ the optional binary gap cap, the minimum feasible clique size, and the bound
 stack.  The search consumes only that data — it never branches on model
 names or stack configurations, so every model (including the multi-attribute
 weak model over any domain size) runs through this one implementation.
-The stack itself is evaluated only at depths below ``bound_depth``.  Below
-the root it reads the child's own coloring, extended by one singleton class
-per member of R (each is adjacent to every candidate and to the others), so
-it costs no second coloring; only the root's one evaluation per component
-colors its scope in the package's degree order.
+The stack itself is evaluated only at the root and at depths below
+:data:`BOUND_DEPTH`.  Below the root it reads the child's own coloring,
+extended by one singleton class per member of R (each is adjacent to every
+candidate and to the others), so it costs no second coloring; only the
+root's one evaluation per component colors its scope in the package's
+degree order.
 
 Structurally the recursion is *child-inlined*: a child's prologue (record
 the clique, size/attribute/fairness prunes, its coloring and color-size
@@ -67,6 +68,12 @@ from repro.kernel.bounds import stack_prunes
 from repro.kernel.view import SubgraphView
 from repro.models.base import ActiveModel
 from repro.search.statistics import SearchStats
+
+#: The bound stack runs at the root and on the nodes below it with fewer
+#: than this many clique members: with 2, each first-vertex branch that
+#: survives the color-size prune, the paper's "when selecting vertices to
+#: be added to R for the first time".
+BOUND_DEPTH = 2
 
 
 class KernelBranchAndBound:
@@ -101,7 +108,6 @@ class KernelBranchAndBound:
         "domain_codes",
         "stats",
         "bound_stack",
-        "bound_depth",
         "check_budget",
         "has_budget",
         "best_size",
@@ -114,7 +120,6 @@ class KernelBranchAndBound:
         view: SubgraphView,
         model: ActiveModel,
         stats: SearchStats,
-        bound_depth: int,
         check_budget: Callable[[SearchStats], None],
         best_size: int,
         best_clique: frozenset,
@@ -129,7 +134,6 @@ class KernelBranchAndBound:
         self.num_values = len(model.domain)
         self.stats = stats
         self.bound_stack = model.bound_stack
-        self.bound_depth = bound_depth
         self.check_budget = check_budget
         self.has_budget = has_budget
         self.best_size = best_size
@@ -185,7 +189,7 @@ class KernelBranchAndBound:
             stats.pruned_by_attribute_feasibility += 1
             return self.best_size, self.best_clique
         stack = self.bound_stack
-        if stack is not None and 0 < self.bound_depth:
+        if stack is not None:
             stats.bound_evaluations += 1
             if stack_prunes(
                 self.view, stack, 0, cand_mask,
@@ -332,7 +336,7 @@ class KernelBranchAndBound:
         stack = self.bound_stack
         non_adj = view.non_adj
         child_size = size_r + 1
-        child_bounded = stack is not None and child_size < self.bound_depth
+        child_bounded = stack is not None and child_size < BOUND_DEPTH
         children = (
             self._root_children(cand_mask, roots) if classes is None
             else self._colored_children(counts_r, cand_mask, classes, size_r)

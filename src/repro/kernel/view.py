@@ -12,8 +12,8 @@ full-graph degrees and tie keys (to reproduce the package's greedy coloring
 exactly).  It refers to no kernel and no graph, so
 :meth:`~repro.kernel.compile.GraphKernel.component_layout` can cache one per
 component without a reference cycle.  A :class:`SubgraphView` is the
-per-solve handle that pairs a layout with its kernel and dict graph, which
-the colorful-degeneracy bound and the dict-bound fallback read.
+per-solve handle that pairs a layout with its kernel, which the
+colorful-degeneracy bound reads.
 """
 
 from __future__ import annotations
@@ -136,14 +136,12 @@ class SubgraphView:
 
     ``order`` is either a layout (the search passes the kernel's cached one)
     or the list of vertex ids to renumber, from which a fresh layout is
-    built.  The view adds the ``kernel`` and the dict ``graph`` it came from
-    (``None`` is fine: one is materialised if a dict-bound fallback needs
-    it) and exposes the layout's rows under the same names.
+    built.  The view adds the ``kernel`` it came from and exposes the
+    layout's rows under the same names.
     """
 
     __slots__ = (
         "kernel",
-        "graph",
         "layout",
         "verts",
         "global_index",
@@ -157,17 +155,13 @@ class SubgraphView:
     )
 
     def __init__(
-        self,
-        kernel: GraphKernel,
-        graph: "AttributedGraph | None",
-        order: "ComponentLayout | list",
+        self, kernel: GraphKernel, order: "ComponentLayout | list",
     ) -> None:
         layout = (
             order if isinstance(order, ComponentLayout)
             else ComponentLayout(kernel, order)
         )
         self.kernel = kernel
-        self.graph = graph
         self.layout = layout
         self.verts = layout.verts
         self.global_index = layout.global_index
@@ -185,18 +179,6 @@ class SubgraphView:
     def full_mask(self) -> int:
         """Mask with every local position set."""
         return (1 << self.n) - 1
-
-    def source_graph(self) -> "AttributedGraph":
-        """The dict-world graph behind this view, for dict-bound fallbacks.
-
-        Parallel workers ship only the (picklable) kernel snapshot and pass
-        ``graph=None``; if a non-native bound then needs a dict graph, one is
-        materialised from the kernel once and cached — the kernel *is* the
-        reduced graph, so the materialisation is faithful.
-        """
-        if self.graph is None:
-            self.graph = self.kernel.materialize()
-        return self.graph
 
     def frozenset_of(self, mask: int) -> frozenset:
         """Original vertex ids of the local positions in ``mask``."""

@@ -226,13 +226,26 @@ class FairnessModel:
     def resolve_bound_stack(
         self, requested: "BoundStack | str | None"
     ) -> Optional[BoundStack]:
-        """Map a requested stack (object or Table II name) to a sound stack."""
+        """Map a requested stack (object or Table II name) to a sound stack.
+
+        The search evaluates bounds only on the kernel, so a stack holding a
+        bound without a kernel evaluator is refused here, before any solve,
+        shard payload or plan is built from it.
+        """
         if requested is None:
             return None
         if isinstance(requested, str):
             from repro.bounds.stacks import get_stack
 
-            return get_stack(requested)
+            requested = get_stack(requested)
+        from repro.kernel.bounds import KERNEL_BOUNDS
+
+        unknown = [name for name in requested.names if name not in KERNEL_BOUNDS]
+        if unknown:
+            raise InvalidParameterError(
+                f"bound stack holds bound(s) {unknown} with no kernel "
+                f"evaluator; supported: {sorted(KERNEL_BOUNDS)}"
+            )
         return requested
 
     def heuristic_seed(self, graph: "AttributedGraph") -> frozenset:

@@ -289,7 +289,6 @@ class ParallelMaxRFC(MaxRFC):
         payload = WorkerPayload(
             kernel=kernel,
             model=model,
-            bound_depth=self.config.bound_depth,
             ordering=self.config.ordering,
             deadline=deadline,
             branch_limit=self.config.branch_limit,

@@ -167,8 +167,9 @@ def component_view(
 
     :meth:`~repro.kernel.compile.GraphKernel.component_layout` builds the
     rank-ordered layout once per kernel; ``graph``, the dict graph the
-    kernel was compiled from, is handed to the view (and to the layout's
-    first build, where orderings other than CalColorOD read it).
+    kernel was compiled from, is read by the layout's first build when the
+    ordering is not CalColorOD.
     """
-    layout = kernel.component_layout(component_index, ordering, graph)
-    return SubgraphView(kernel, graph, layout)
+    return SubgraphView(
+        kernel, kernel.component_layout(component_index, ordering, graph)
+    )

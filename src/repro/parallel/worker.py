@@ -79,7 +79,6 @@ class WorkerPayload:
 
     kernel: GraphKernel
     model: ActiveModel
-    bound_depth: int
     ordering: OrderingStrategy
     deadline: Deadline
     branch_limit: int | None
@@ -252,7 +251,6 @@ def solve_shard(
         ),
         model=payload.model,
         stats=stats,
-        bound_depth=payload.bound_depth,
         check_budget=_noop_budget,
         best_size=_read(channel),
         best_clique=frozenset(),

@@ -5,7 +5,8 @@ process entry, shard execution, reduction stages, HTTP connection handling,
 executor submission.  Each seam calls :func:`maybe_fire` with a point name
 and a little context; when no plan is installed that call is a single
 module-global ``is None`` check — a no-op cheap enough to leave compiled in
-everywhere (the ``chaos`` benchmark suite pins this).
+everywhere (``tests/test_resilience/test_faults.py`` checks that a disarmed
+solve never reaches a plan).
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` rules.  A spec matches
 a point by name, by an optional ``when`` context filter (``{"shard": 0,

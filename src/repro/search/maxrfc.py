@@ -16,7 +16,8 @@ The solver follows the paper's architecture:
    fairness-gap argument, (d) the Section IV color bounds (ubc, ubac,
    ubeac) read off each node's one coloring whenever a bound stack is
    configured, and (e) the configurable stack of Section IV upper bounds
-   itself in the first ``bound_depth`` levels.
+   itself at the root and at every first-vertex branch
+   (:data:`~repro.kernel.search.BOUND_DEPTH`).
 
 The fairness condition itself is pluggable: :meth:`MaxRFC.solve_model` takes
 any :class:`~repro.models.base.FairnessModel` (relative, weak, strong, or the
@@ -74,15 +75,6 @@ class MaxRFCConfig:
         The fairness model may substitute model-sound stages.
     use_heuristic:
         Seed the incumbent with the model's heuristic before branching.
-    bound_depth:
-        Apply the bound stack to branches at depth strictly less than this
-        value.  ``2`` reproduces the paper's "when selecting vertices to be
-        added to R for the first time" (the bound is evaluated once per
-        first-vertex branch that survives the color-size prune); larger
-        values trade bound evaluations for extra pruning, ``0`` disables
-        bound evaluation entirely.  Below the root the stack reads the
-        branch's own greedy coloring (any proper coloring keeps the color
-        bounds valid), so a deeper evaluation costs no extra coloring.
     ordering:
         Vertex-ordering strategy (CalColorOD by default).
     time_limit:
@@ -96,7 +88,6 @@ class MaxRFCConfig:
     use_reduction: bool = True
     reduction_stages: Sequence[str] = DEFAULT_STAGES
     use_heuristic: bool = False
-    bound_depth: int = 2
     ordering: OrderingStrategy = OrderingStrategy.COLORFUL_CORE
     time_limit: float | None = None
     branch_limit: int | None = None
@@ -202,6 +193,7 @@ class MaxRFC:
                 frozenset(), model.k, model.bound_delta_value(), stats,
                 algorithm, True,
             )
+        active = model.bind(domain, config.bound_stack)
 
         working = graph
         if config.use_reduction:
@@ -230,7 +222,6 @@ class MaxRFC:
             stats.extra["warm_start_size"] = len(best)
             self._notify_improve(len(best), best)
 
-        active = model.bind(domain, config.bound_stack)
         started = time.monotonic()
         timed_out = False
         # Any clique recorded mid-search is mirrored here so a time/branch
@@ -299,7 +290,6 @@ class MaxRFC:
                 ),
                 model=model,
                 stats=stats,
-                bound_depth=self.config.bound_depth,
                 check_budget=lambda s: self._check_budget(s, deadline),
                 best_size=len(best),
                 best_clique=best,
@@ -342,7 +332,6 @@ def build_search_config(
     time_limit: float | None = None,
     ordering: OrderingStrategy = OrderingStrategy.COLORFUL_CORE,
     branch_limit: int | None = None,
-    bound_depth: int = 2,
     reduction_stages: Sequence[str] = DEFAULT_STAGES,
 ) -> MaxRFCConfig:
     """Build a :class:`MaxRFCConfig` from user-facing options.
@@ -365,7 +354,6 @@ def build_search_config(
         time_limit=time_limit,
         ordering=ordering,
         branch_limit=branch_limit,
-        bound_depth=bound_depth,
         algorithm_name="MaxRFC" if bound_stack is None else "MaxRFC+ub",
     )
     if use_heuristic and bound_stack is not None:

@@ -6,7 +6,8 @@ caller back the same objects the in-process API returns —
 :class:`~repro.api.session.Incumbent` events from :meth:`stream`,
 :class:`~repro.api.session.QueryPlan` from :meth:`explain` — so switching
 between a local session and a remote service is a one-line change.  Used by
-the example client, the service benchmark suite, and the CI smoke test.
+the example client, the ``service-mixed`` benchmark workload, and the CI
+smoke test.
 
 One connection per request (the server speaks ``Connection: close``), pure
 ``http.client`` underneath — no dependencies.

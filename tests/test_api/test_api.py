@@ -126,9 +126,11 @@ class TestDispatchErrors:
         assert not report.optimal
 
     def test_unknown_engine_option_rejected(self):
-        with pytest.raises(InvalidParameterError, match="option"):
-            solve(paper_example_graph(), model="relative", k=2, delta=1,
-                  options={"warp_speed": True})
+        # The bound stack's depth is the constant BOUND_DEPTH, not an option.
+        for option in ("warp_speed", "bound_depth"):
+            with pytest.raises(InvalidParameterError, match=option):
+                solve(paper_example_graph(), model="relative", k=2, delta=1,
+                      options={option: 1})
 
     def test_solve_many_fails_before_any_work(self):
         graph = paper_example_graph()

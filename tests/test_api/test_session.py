@@ -90,6 +90,8 @@ class TestSessionBasics:
             assert info["reduction_hits"] == 1
             assert info["reductions"] == 1
             assert second.metadata["reduction_cache_hit"] is True
+            # The warm answer is the cold one.
+            assert second.size == solve(graph, model="relative", k=2, delta=0).size
 
     def test_solve_many_matches_batch_layer(self):
         graph = paper_example_graph()

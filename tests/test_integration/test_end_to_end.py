@@ -114,8 +114,7 @@ class TestRandomisedCrossValidation:
         graph = erdos_renyi_graph(20, 0.5, seed=seed)
         k, delta = 2, 1
         oracle = brute_force_maximum_fair_clique(graph, k, delta).size
-        config = MaxRFCConfig(bound_stack=get_stack("ubAD+ubch"), use_heuristic=True,
-                              bound_depth=4)
+        config = MaxRFCConfig(bound_stack=get_stack("ubAD+ubch"), use_heuristic=True)
         assert MaxRFC(config).solve(graph, k, delta).size == oracle
 
     @given(seed=st.integers(min_value=0, max_value=15),

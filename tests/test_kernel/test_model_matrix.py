@@ -185,7 +185,7 @@ class TestBoundMatrix:
             scope = rng.sample(order, rng.randint(5, len(order)))
             split = rng.randint(0, 2)
             cases.append((scope[:split], scope[split:]))
-        view = SubgraphView(graph.compile(), graph, order)
+        view = SubgraphView(graph.compile(), order)
         for clique, candidates in cases:
             clique_mask = sum(1 << position_of[v] for v in clique)
             cand_mask = sum(1 << position_of[v] for v in candidates)

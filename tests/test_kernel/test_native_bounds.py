@@ -15,13 +15,17 @@ import zlib
 
 import pytest
 
-from repro.bounds.base import BoundContext, make_context
+from repro.api import FairCliqueQuery, FairCliqueSession, solve
+from repro.bounds.base import BoundStack, UpperBound, make_context
+from repro.bounds.simple import UB_SIZE
 from repro.bounds.stacks import ALL_BOUNDS, get_stack, stack_names
+from repro.exceptions import InvalidParameterError
 from repro.graph.builders import paper_example_graph
 from repro.graph.components import connected_components
 from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.kernel.bounds import KERNEL_BOUNDS, evaluate_bound, stack_evaluate
 from repro.kernel.view import SubgraphView
+from repro.models import make_model
 from repro.search.maxrfc import MaxRFC, build_search_config
 
 BOUND_NAMES = sorted(ALL_BOUNDS)
@@ -63,7 +67,7 @@ def test_bound_value_parity_on_randomized_instances(bound_name):
         for component in connected_components(graph):
             if len(component) < 4:
                 continue
-            view = SubgraphView(kernel, graph, sorted(component, key=str))
+            view = SubgraphView(kernel, sorted(component, key=str))
             for clique_mask, cand_mask in _instances(view, rng):
                 for k, delta in ((2, 1), (3, 0)):
                     kernel_value = evaluate_bound(
@@ -94,7 +98,7 @@ def test_stack_evaluate_matches_dict_stack():
     graph = erdos_renyi_graph(28, 0.3, seed=9)
     kernel = graph.compile()
     component = max(connected_components(graph), key=len)
-    view = SubgraphView(kernel, graph, sorted(component, key=str))
+    view = SubgraphView(kernel, sorted(component, key=str))
     for stack_name in stack_names():
         stack = get_stack(stack_name)
         kernel_value = stack_evaluate(view, stack, 0, view.full_mask, 2, 1)
@@ -104,25 +108,34 @@ def test_stack_evaluate_matches_dict_stack():
         assert kernel_value == stack.evaluate(context), stack_name
 
 
-def test_custom_bound_still_uses_dict_fallback():
-    """Bounds outside KERNEL_BOUNDS evaluate through a materialised context."""
-    from repro.bounds.base import UpperBound
-
-    seen = {}
-
-    def probe(context: BoundContext) -> int:
-        seen["graph"] = context.graph
-        return len(context.scope)
-
-    bound = UpperBound("ub_custom_probe", probe, cost_rank=99)
+@pytest.mark.parametrize("model", ["relative", "multi_weak"])
+def test_custom_bound_is_refused_by_name(model):
+    """A stack holding a bound outside KERNEL_BOUNDS has no evaluator the
+    search could run: the model refuses it, naming the bound, and so do a
+    serial solve, a sharded solve and ``explain``, before any search."""
+    probe = UpperBound("ub_custom_probe", lambda context: len(context.scope),
+                       cost_rank=99)
+    stack = BoundStack((UB_SIZE, probe))
     graph = paper_example_graph()
-    kernel = graph.compile()
-    component = max(connected_components(graph), key=len)
-    view = SubgraphView(kernel, None, sorted(component, key=str))
-    value = evaluate_bound(view, bound, 0, view.full_mask, 2, 1)
-    assert value == len(component)
-    # graph=None views materialise the kernel for the fallback context.
-    assert seen["graph"].num_vertices == kernel.n
+    delta = 1 if model == "relative" else None
+
+    def refused():
+        return pytest.raises(InvalidParameterError, match="ub_custom_probe")
+
+    with refused():
+        make_model(model, 2, delta, graph).resolve_bound_stack(stack)
+    for workers in (None, 2):
+        query = FairCliqueQuery(model=model, k=2, delta=delta, workers=workers,
+                                options={"bound_stack": stack})
+        with refused():
+            solve(graph, query)
+    with refused():
+        MaxRFC(build_search_config(bound_stack=stack)).solve_model(
+            graph, make_model(model, 2, delta, graph)
+        )
+    with FairCliqueSession(graph) as session, refused():
+        session.explain(FairCliqueQuery(model=model, k=2, delta=delta,
+                                        options={"bound_stack": stack}))
 
 
 @pytest.mark.parametrize("stack_name", ["ubAD+ubcd", "ubAD+ubch", "ubAD+ubcp",

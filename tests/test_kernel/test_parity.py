@@ -251,7 +251,7 @@ class TestBoundParity:
         graph = erdos_renyi_graph(28, 0.45, seed=4)
         kernel = graph.compile()
         order = sorted(graph.vertices(), key=str)
-        view = SubgraphView(kernel, graph, order)
+        view = SubgraphView(kernel, order)
         position_of = {v: p for p, v in enumerate(order)}
         rng = random.Random(3)
         stacks = [get_stack(name) for name in sorted(stack_names())]

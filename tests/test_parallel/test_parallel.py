@@ -202,7 +202,6 @@ class TestPickledPayload:
         payload = WorkerPayload(
             kernel=kernel,
             model=model,
-            bound_depth=config.bound_depth,
             ordering=config.ordering,
             deadline=Deadline.unbounded(),
             branch_limit=None,
@@ -414,25 +413,25 @@ class TestRunRoots:
         return graph, kernel, component_index
 
     @staticmethod
-    def _searcher(view, model, bound_depth=0):
+    def _searcher(view, model):
         return KernelBranchAndBound(
             view=view, model=model, stats=SearchStats(),
-            bound_depth=bound_depth, check_budget=lambda stats: None,
+            check_budget=lambda stats: None,
             best_size=0, best_clique=frozenset(), has_budget=False,
         )
 
-    @pytest.mark.parametrize("bound_depth", [0, 2])
-    def test_full_root_mask_is_the_whole_search(self, bound_depth):
+    @pytest.mark.parametrize("bound_stack", [None, "ubAD"])
+    def test_full_root_mask_is_the_whole_search(self, bound_stack):
         """``run()`` and ``run(full_mask)`` visit the same tree: same
         clique and the same value in every counter."""
         graph, kernel, index = self._component()
-        model = _active(graph)
+        model = make_model("relative", 2, 1, graph).activate(graph, bound_stack)
         view = sharding.component_view(
             kernel, index, build_search_config().ordering, graph
         )
-        whole = self._searcher(view, model, bound_depth)
+        whole = self._searcher(view, model)
         whole.run()
-        masked = self._searcher(view, model, bound_depth)
+        masked = self._searcher(view, model)
         masked.run(view.full_mask)
         assert masked.best_clique == whole.best_clique
         assert masked.stats == whole.stats

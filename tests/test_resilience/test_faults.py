@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
 
+from repro.api import FairCliqueQuery, solve
+from repro.graph.generators import community_graph
+from repro.resilience import faults
 from repro.resilience.faults import (
     ENV_PLAN,
     FaultPlan,
@@ -166,3 +170,79 @@ class TestInstall:
 
     def test_install_from_env_absent(self):
         assert install_from_env({}) is None
+
+
+def _three_component_graph():
+    """Three components, so a 2-worker pool runs one shard per component."""
+    return community_graph(3, 16, intra_probability=0.6, inter_edges=0, seed=21)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit the plan only by fork",
+)
+class TestSeamsInSolves:
+    """The seams a solve crosses, serially and in a 2-worker pool.
+
+    ``FaultPlan.fire`` is patched to count its calls into shared values, so
+    calls made in forked pool workers are counted too.  No timing: a
+    disarmed seam must not reach the plan at all, and an armed plan whose
+    only spec never matches must be consulted yet change nothing.
+    """
+
+    #: Matches a reduction stage that does not exist, so it never fires.
+    INERT = FaultSpec(point="reduction.stage", action="raise",
+                      when={"stage": "__inert__"}, times=None)
+
+    @staticmethod
+    def _count_fire_calls(monkeypatch):
+        """Patch ``FaultPlan.fire``; return its (all, worker-side) call counts."""
+        context = multiprocessing.get_context("fork")
+        calls = context.Value("i", 0)
+        worker_calls = context.Value("i", 0)
+        original = FaultPlan.fire
+
+        def counting(self, point, seam_context):
+            with calls.get_lock():
+                calls.value += 1
+            if faults._IN_WORKER:
+                with worker_calls.get_lock():
+                    worker_calls.value += 1
+            return original(self, point, seam_context)
+
+        monkeypatch.setattr(FaultPlan, "fire", counting)
+        return calls, worker_calls
+
+    @staticmethod
+    def _solve(graph, workers):
+        report = solve(graph, FairCliqueQuery(
+            model="relative", k=2, delta=1, workers=workers,
+        ))
+        assert report.optimal
+        if workers:
+            assert report.metadata["parallel"]["pool_size"] == workers
+        return report
+
+    def test_disarmed_solves_never_enter_the_plan(self, monkeypatch):
+        calls, _ = self._count_fire_calls(monkeypatch)
+        graph = _three_component_graph()
+        assert active_plan() is None
+        for workers in (None, 2):
+            assert self._solve(graph, workers).size > 0
+        assert calls.value == 0
+
+    def test_inert_plan_is_consulted_and_changes_nothing(self, monkeypatch):
+        graph = _three_component_graph()
+        plain = {workers: self._solve(graph, workers).size for workers in (None, 2)}
+        calls, worker_calls = self._count_fire_calls(monkeypatch)
+        plan = FaultPlan(specs=(self.INERT,), seed=0)
+        with fault_injection(plan):
+            serial = self._solve(graph, None)
+            assert calls.value >= 1
+            assert worker_calls.value == 0
+            pooled = self._solve(graph, 2)
+        assert serial.size == plain[None]
+        assert pooled.size == plain[2]
+        # worker.init and shard.run ran in the workers under the plan.
+        assert worker_calls.value >= 1
+        assert sum(plan.fired.values()) == 0

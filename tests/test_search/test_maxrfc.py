@@ -142,13 +142,6 @@ class TestConfigurations:
         )
         assert result.size == oracle
 
-    def test_bound_depth_variants(self, community_fixture):
-        k, delta = 2, 1
-        oracle = brute_force_maximum_fair_clique(community_fixture, k, delta).size
-        for depth in (0, 1, 2, 10):
-            config = MaxRFCConfig(bound_stack=get_stack("ubAD+ubcp"), bound_depth=depth)
-            assert MaxRFC(config).solve(community_fixture, k, delta).size == oracle
-
     def test_algorithm_name_reflects_configuration(self, paper_graph):
         plain = find_maximum_fair_clique(paper_graph, 3, 1, bound_stack=None,
                                          use_heuristic=False)

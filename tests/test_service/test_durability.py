@@ -138,6 +138,52 @@ class TestWarmRestart:
         assert not (tmp_path / "data").exists()
 
 
+class TestWalCostOverTheWire:
+    """What keeps a WAL-backed service cheap, counted instead of timed:
+    one synced append per acknowledged upload, result appends synced only
+    once per ``wal_fsync_every`` records, and the same answers as a service
+    without a log."""
+
+    UPLOADS = 5
+    QUERIES = tuple(
+        FairCliqueQuery(model="relative", k=2, delta=delta) for delta in (0, 1)
+    )
+
+    def _drive(self, service):
+        """Upload every graph and solve each distinct query once on each;
+        return the answer sizes and the final /metrics ``durability``."""
+        handle = ServerHandle.start(service)
+        client = ServiceClient(handle.address, retries=0)
+        try:
+            sizes = []
+            for index in range(self.UPLOADS):
+                client.upload_graph(f"g{index}", _graph(seed=index))
+                for query in self.QUERIES:
+                    response = client.solve_raw(f"g{index}", query,
+                                                tier="unlimited")
+                    assert response["cached"] is False
+                    sizes.append(len(response["report"]["clique"]))
+            return sizes, client.metrics()["durability"]
+        finally:
+            handle.stop()
+
+    def test_synced_uploads_and_batched_results(self, tmp_path):
+        solves = self.UPLOADS * len(self.QUERIES)
+        plain, no_log = self._drive(FairCliqueService(ServiceConfig(port=0)))
+        assert no_log is None
+        logged, durability = self._drive(_service(tmp_path, wal_fsync_every=4))
+        assert logged == plain
+        assert durability["graphs"]["appends"] == self.UPLOADS
+        assert durability["graphs"]["fsyncs"] == self.UPLOADS
+        assert durability["results"]["appends"] == solves
+        assert durability["results"]["fsyncs"] == solves // 4
+        restarted, handle, _ = _restart(tmp_path)
+        try:
+            assert restarted.recovery["graphs_recovered"] == self.UPLOADS
+        finally:
+            handle.stop()
+
+
 class TestWalDiskPressure:
     def test_failed_append_returns_503_with_retry_after(self, served):
         service, client = served
